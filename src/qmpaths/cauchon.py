@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coeff import ZERO, q_power
 from .torus import (
     Coord,
+    EMPTY_KEY,
     Shape,
     TorusElement,
     mono_key,
+    monomial_mul,
     t_gen,
     torus_product,
 )
@@ -198,7 +201,13 @@ def enumerate_cauchon_diagrams(shape: Shape):
 
 
 class CauchonGraph:
-    """The directed grid graph of a Cauchon diagram, with its grid embedding."""
+    """The directed grid graph of a Cauchon diagram, with its grid embedding.
+
+    The graph also holds the evaluation data derived from it, each keyed by
+    (threshold coordinate, i, j) and built on first use: the restricted path
+    families, their vertex sets, and the generator path sums.  Those objects
+    are shared by every caller and must not be mutated.
+    """
 
     def __init__(self, diagram: Diagram):
         bad = cauchon_violations(diagram)
@@ -240,6 +249,8 @@ class CauchonGraph:
                     break
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
         self._gamma_cache: dict = {}
+        self._vertex_sets_cache: dict = {}
+        self._generator_cache: dict = {}
         self._vdps_cache: dict = {}
 
     def out_edges(self, v: Vertex) -> tuple:
@@ -390,10 +401,28 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
 
 
 def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
-    """Path-sum image of the (i, j) generator: sum of weights over gamma."""
-    total = TorusElement.zero(g.shape)
+    """Path-sum image of the (i, j) generator: sum of weights over gamma.
+
+    Built once per (threshold coordinate, i, j) and cached on the graph; the
+    returned element is shared, so callers must not mutate its terms.  Each
+    path weight is the turn product accumulated as an exponent key and a
+    q-exponent, which path_weight computes the long way.
+    """
+    key = (g.shape.threshold_coord(t), i, j)
+    hit = g._generator_cache.get(key)
+    if hit is not None:
+        return hit
+    # every path weight is +q^c t^N, so no sum of them cancels to zero
+    acc: dict = {}
     for path in enumerate_gamma(g, t, i, j):
-        total = total + path_weight(g, path)
+        mono, qexp, sign = EMPTY_KEY, 0, 1
+        for (a, b), _kind in path_turns(g, path):
+            c, mono = monomial_mul(mono, ((a, b, sign),))
+            qexp += c
+            sign = -sign
+        acc[mono] = acc.get(mono, ZERO) + q_power(qexp)
+    total = TorusElement._raw(g.shape, acc)
+    g._generator_cache[key] = total
     return total
 
 
@@ -447,6 +476,17 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     return systems
 
 
+def _gamma_vertex_sets(g: CauchonGraph, t: int, i: int, j: int) -> tuple:
+    """The vertex sets (frozensets) of enumerate_gamma's paths, in the same
+    order; cached on the graph per (threshold coordinate, i, j)."""
+    key = (g.shape.threshold_coord(t), i, j)
+    hit = g._vertex_sets_cache.get(key)
+    if hit is None:
+        hit = tuple(frozenset(p) for p in enumerate_gamma(g, t, i, j))
+        g._vertex_sets_cache[key] = hit
+    return hit
+
+
 def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     """Early-exit variant of enumerate_vdps."""
     I = tuple(I)
@@ -456,16 +496,12 @@ def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     rs = g.shape.threshold_coord(t)
     if (rs, I, J) in g._vdps_cache:
         return bool(g._vdps_cache[(rs, I, J)])
-    choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
+    choices = [_gamma_vertex_sets(g, t, i, j) for i, j in zip(I, J)]
+    last = len(choices) - 1
 
     def rec(idx, used):
-        if idx == len(choices):
-            return True
-        for path in choices[idx]:
-            pset = set(path)
-            if used & pset:
-                continue
-            if rec(idx + 1, used | pset):
+        for pset in choices[idx]:
+            if used.isdisjoint(pset) and (idx == last or rec(idx + 1, used | pset)):
                 return True
         return False
 

@@ -49,8 +49,11 @@ def _shape(args) -> Shape:
 
 def _diagram(args, shape: Shape) -> Diagram:
     if args.diagram_file:
-        with open(args.diagram_file) as fh:
-            text = fh.read()
+        try:
+            with open(args.diagram_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read the diagram file: {exc}")
     elif args.diagram:
         text = args.diagram
     else:
@@ -209,12 +212,20 @@ def cmd_graph(args) -> int:
 
 def cmd_verify(args) -> int:
     max_m, max_n = args.max
+    if max_m < 2 or max_n < 2:
+        raise UsageError(f"--max {max_m} {max_n}: both bounds must be at least 2")
+    if args.samples < 1:
+        raise UsageError(f"--samples {args.samples}: must be at least 1")
     if args.suite == "groebner" and args.diagram:
-        d = Diagram.from_text(args.diagram)
+        try:
+            d = Diagram.from_text(args.diagram)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if cauchon_violations(d):
             raise UsageError("verify groebner needs a Cauchon diagram")
+        t = _threshold(args, d.shape)
         reports = [
-            run_groebner(samples=args.samples, seed=args.seed, diagram=d, t=args.t)
+            run_groebner(samples=args.samples, seed=args.seed, diagram=d, t=t)
         ]
     elif args.suite == "all":
         reports = [

@@ -235,14 +235,6 @@ Q_INV = q_power(-1)
 LAM = Q - Q_INV
 
 
-def scalar_add(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
-    return a + b
-
-
-def scalar_mul(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
-    return a * b
-
-
 _LAM_POWS = [ONE, LAM]
 
 

@@ -201,7 +201,8 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
         )
         prod = e.poly * QmPoly.monomial(a.shape, a.threshold, cof)
         pk, pc = prod.leading_term()
-        assert pk == lt_key
+        if pk != lt_key:
+            raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
         if pc.as_monomial() is None:
             raise AssertionError("leading coefficient of g * x^c is not a unit (bug)")
         scale = lt_coeff * pc.inverse()

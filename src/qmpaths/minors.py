@@ -19,6 +19,7 @@ for (i,j) northwest of (r,s), identity on all other generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .coeff import q_power
@@ -112,16 +113,23 @@ def minor_poly(shape: Shape, t, spec: MinorSpec) -> QmPoly:
     (-q)^{inv(sigma)} x_{i_1, j_sigma(1)} ... x_{i_k, j_sigma(k)}.
 
     Each summand is already a lexicographic term, so this expression is the
-    canonical form.
+    canonical form.  Memoized per (shape, threshold, spec): the returned
+    polynomial is shared, so callers must not mutate its terms.
     """
     spec.check_in_shape(shape)
+    th = t if isinstance(t, Threshold) else Threshold.of(shape, t)
+    return _minor_poly(shape, th, spec)
+
+
+@lru_cache(maxsize=1 << 12)
+def _minor_poly(shape: Shape, th: Threshold, spec: MinorSpec) -> QmPoly:
     terms = []
     k = spec.k
     for perm in permutations(range(k)):
         key = mono_key((spec.I[a], spec.J[perm[a]], 1) for a in range(k))
         coeff = q_power(inversions(perm)) * ((-1) ** inversions(perm))
         terms.append((key, coeff))
-    return QmPoly(shape, t, terms)
+    return QmPoly(shape, th, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,8 @@ class HPrimeHandle:
         return f"HPrimeHandle({self.diagram.to_inline()!r}, t={self.t})"
 
     def generator_image(self, coord: Coord) -> TorusElement:
+        """Path sum of the generator at coord, cached on the graph (shared:
+        do not mutate its terms)."""
         return generator(self.graph, self.t, coord[0], coord[1])
 
 
@@ -180,24 +190,17 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
         raise ValueError("shape mismatch")
     if a.threshold != handle.threshold:
         raise ValueError("threshold mismatch")
-    images: dict[Coord, TorusElement] = {}
-
-    def image(coord, e):
-        base = images.get(coord)
-        if base is None:
-            base = handle.generator_image(coord)
-            images[coord] = base
-        if e >= 0:
-            return [base] * e
-        if handle.diagram.is_black(coord):
-            raise ValueError("cannot invert the image of a black coordinate")
-        return [base.inverse()] * (-e)
-
     total = TorusElement.zero(handle.shape)
     for key, coeff in a.terms.items():
         factors = []
         for i, j, e in key:
-            factors.extend(image((i, j), e))
+            base = handle.generator_image((i, j))
+            if e >= 0:
+                factors.extend([base] * e)
+            elif handle.diagram.is_black((i, j)):
+                raise ValueError("cannot invert the image of a black coordinate")
+            else:
+                factors.extend([base.inverse()] * -e)
         total = total + torus_product(handle.shape, factors).scale(coeff)
     return total
 
@@ -335,11 +338,6 @@ def dd_backward(a: QmPoly) -> QmPoly:
             )
             images[coord] = (gen, inv)
     return _substitute(a, images, zero)
-
-
-def localized_embed(a: QmPoly, loc: Coord) -> QmPoly:
-    """View a plain polynomial inside the algebra localized at loc."""
-    return a.with_loc(loc)
 
 
 def clear_denominator(a: QmPoly) -> tuple[QmPoly, int]:

@@ -97,9 +97,21 @@ class _TermKey:
 
 
 def term_divides(a: MonoKey, b: MonoKey) -> bool:
-    """Entrywise a <= b (both nonnegative)."""
-    entries = {(i, j): e for i, j, e in b}
-    return all(e <= entries.get((i, j), 0) for i, j, e in a)
+    """Entrywise a <= b (both nonnegative).
+
+    A merge walk over the two sorted keys: each entry of a is compared with
+    the entry of b at its coordinate, 0 where b has none.
+    """
+    k, nb = 0, len(b)
+    for i, j, e in a:
+        while k < nb and (b[k][0] < i or (b[k][0] == i and b[k][1] < j)):
+            k += 1
+        if k < nb and b[k][0] == i and b[k][1] == j:
+            if e > b[k][2]:
+                return False
+        elif e > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -138,24 +138,6 @@ def key_in_shape(key: MonoKey, shape: Shape) -> bool:
     return all(shape.contains((i, j)) for i, j, _ in key)
 
 
-def key_to_matrix(key: MonoKey, shape: Shape) -> tuple:
-    """Dense m x n tuple-of-tuples view of a sparse key."""
-    rows = [[0] * shape.n for _ in range(shape.m)]
-    for i, j, e in key:
-        shape.check_coord((i, j))
-        rows[i - 1][j - 1] = e
-    return tuple(tuple(r) for r in rows)
-
-
-def matrix_to_key(rows) -> MonoKey:
-    return mono_key(
-        (i + 1, j + 1, e)
-        for i, row in enumerate(rows)
-        for j, e in enumerate(row)
-        if e
-    )
-
-
 def commutation_form(a: MonoKey, b: MonoKey) -> int:
     """Bilinear form giving t^a t^b = q^form t^(a+b).
 

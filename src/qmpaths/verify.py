@@ -46,7 +46,9 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures, and at least one check ran: an empty sweep proves
+        nothing."""
+        return self.checks > 0 and not self.failures
 
     def fail(self, **witness):
         if len(self.failures) < 25:
@@ -285,19 +287,23 @@ def run_groebner(
     if diagram is None:
         params["max"] = [max_m, max_n]
     else:
+        if t is None:
+            t = diagram.shape.mn
         params["diagram"] = diagram.to_inline()
-        params["t"] = t or diagram.shape.mn
+        params["t"] = t
     report = Report("groebner", params)
 
     def body(report):
+        # handles are built one at a time, so each graph and its evaluation
+        # caches are freed once its check is done
         if diagram is not None:
-            targets = [HPrimeHandle(diagram, t or diagram.shape.mn)]
+            targets = [HPrimeHandle(diagram, t)]
         else:
-            targets = [
+            targets = (
                 HPrimeHandle(d, shape.mn)
                 for shape in _shapes(max_m, max_n)
                 for d in enumerate_cauchon_diagrams(shape)
-            ]
+            )
         for h in targets:
             sub = groebner_check(h, samples=samples, seed=seed)
             report.checks += sub.checked_kernel + sub.checked_nonkernel

@@ -1,12 +1,16 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: literal adjacent transpositions for
-torus normal ordering, a full 2^(mn) filter for diagram enumeration, and a
-from-scratch statement of the diagram condition.  None of it shares code
+torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
+from-scratch statement of the diagram condition, the permutation sum of a
+quantum minor, and divisibility through a dense lookup.  None of it shares code
 with the library paths it validates.
 """
 
+from itertools import permutations
+
 from qmpaths.coeff import q_power
+from qmpaths.straighten import QmPoly
 from qmpaths.torus import TorusElement, mono_key, pair_commutation
 
 
@@ -79,3 +83,20 @@ def oracle_inversions(perm):
         for b in range(a + 1, len(perm))
         if perm[a] > perm[b]
     )
+
+
+def oracle_minor_poly(shape, t, I, J):
+    """Quantum minor [I|J] as a freshly built polynomial: the sum over
+    permutations p of (-q)^inv(p) x_{I[0],J[p(0)]} ... x_{I[k-1],J[p(k-1)]}."""
+    terms = []
+    for perm in permutations(range(len(I))):
+        inv = oracle_inversions(perm)
+        key = mono_key((I[a], J[perm[a]], 1) for a in range(len(I)))
+        terms.append((key, q_power(inv) * (-1) ** inv))
+    return QmPoly(shape, t, terms)
+
+
+def oracle_term_divides(a, b):
+    """Entrywise a <= b, reading b's entries through a dict (0 if absent)."""
+    entries = {(i, j): e for i, j, e in b}
+    return all(e <= entries.get((i, j), 0) for i, j, e in a)

@@ -237,6 +237,22 @@ def test_generator_matrices_corner(corner_diagram_2x3):
     )
 
 
+def test_cached_generator_equals_path_weight_sum():
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        sh = Shape(m, n)
+        for d in enumerate_cauchon_diagrams(sh):
+            g = build_graph(d)
+            for t in range(1, m * n + 1):
+                for i, j in sh.coords():
+                    expected = TorusElement.zero(sh)
+                    for p in enumerate_gamma(g, t, i, j):
+                        expected = expected + path_weight(g, p)
+                    first = generator(g, t, i, j)
+                    assert first == expected
+                    again = generator(g, t, i, j)
+                    assert again is first and again == expected
+
+
 def test_generator_empty_diagram_t1():
     sh = Shape(3, 3)
     g = build_graph(Diagram.all_white(sh))
@@ -283,13 +299,15 @@ def test_vdps_determinant_empty_diagram():
 
 
 def test_vdps_exists_agrees_with_enumerator():
-    for m, n in [(2, 2), (2, 3), (3, 3)]:
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for d in enumerate_cauchon_diagrams(Shape(m, n)):
             g = build_graph(d)
             for k in range(1, min(m, n) + 1):
                 for I in itertools.combinations(range(1, m + 1), k):
                     for J in itertools.combinations(range(1, n + 1), k):
-                        for t in (1, m * n):
+                        for t in range(1, m * n + 1):
+                            # vdps_exists first: once enumerate_vdps has
+                            # filled the graph's cache it answers from there
                             assert vdps_exists(g, t, I, J) == bool(
                                 enumerate_vdps(g, t, I, J)
                             )

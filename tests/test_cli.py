@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qmpaths.cli import main
 
 
@@ -193,6 +195,29 @@ def test_usage_error_exit_code(capsys):
     _ = capsys.readouterr()
     assert main(["nonsense"]) == 2
     _ = capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "groebner", "--diagram", "#x/.."],
+        ["verify", "groebner", "--diagram", "#./..", "-t", "99"],
+        ["verify", "groebner", "--diagram", "#./..", "-t", "0"],
+        ["verify", "groebner", "--diagram", "#./..", "--samples", "-5"],
+        ["verify", "ddalg", "--samples", "-5"],
+        ["verify", "relations", "--max", "1", "1"],
+        ["verify", "all", "--max", "1", "3"],
+        ["hprime", "2", "2", "--diagram-file", "/nonexistent/diagram.txt"],
+    ],
+    ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
+         "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file"],
+)
+def test_bad_input_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_module_entry_point():

@@ -4,7 +4,7 @@ import pytest
 
 from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import Shape, TorusElement, mono_key, t_gen
-from qmpaths.straighten import QmPoly
+from qmpaths.straighten import QmPoly, Threshold
 from qmpaths.cauchon import (
     Diagram,
     enumerate_cauchon_diagrams,
@@ -25,7 +25,7 @@ from qmpaths.minors import (
     sigma,
 )
 
-from oracles import oracle_inversions
+from oracles import oracle_inversions, oracle_minor_poly
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -97,6 +97,26 @@ def test_minor_leading_term_is_diagonal():
                     key, coeff = p.leading_term()
                     assert key == E(*zip(I, J))
                     assert coeff == ONE
+
+
+def test_memoized_minor_poly_equals_fresh_build():
+    from itertools import combinations
+
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        sh = Shape(m, n)
+        for t in range(1, sh.mn + 1):
+            for k in range(1, min(m, n) + 1):
+                for I in combinations(range(1, m + 1), k):
+                    for J in combinations(range(1, n + 1), k):
+                        spec = MinorSpec(I, J)
+                        fresh = oracle_minor_poly(sh, t, I, J)
+                        p = minor_poly(sh, t, spec)
+                        assert p == fresh
+                        # arithmetic on the shared result leaves it intact
+                        used = (p + p * p - p.scale(q_power(1))) * -p
+                        assert not used.is_zero()
+                        again = minor_poly(sh, Threshold.of(sh, t), spec)
+                        assert again is p and again == fresh
 
 
 def test_inversions_matches_oracle():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qmpaths.coeff import LAM, ONE, q_power
 from qmpaths.torus import Shape, mono_key
@@ -17,6 +18,8 @@ from qmpaths.straighten import (
 )
 from qmpaths.cauchon import Diagram
 from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly, sigma
+
+from oracles import oracle_term_divides
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -98,6 +101,25 @@ def test_term_divides_examples():
     assert term_divides((), E((1, 1), (2, 2)))
     assert term_divides(E((1, 1)), E((1, 1), (2, 2)))
     assert not term_divides(E((1, 2)), E((1, 1), (2, 2)))
+
+
+_keys = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(-2, 3)),
+    max_size=10,
+).map(mono_key)
+
+
+_nonneg_keys = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)),
+    max_size=10,
+).map(mono_key)
+
+
+@given(_keys, _keys, _nonneg_keys)
+def test_term_divides_matches_dict_definition(a, b, c):
+    # b is an arbitrary key; a + c lies entrywise above a wherever it can
+    for x, y in [(a, b), (b, a), (a, a), (a, mono_key(a + c)), (c, mono_key(a + c))]:
+        assert term_divides(x, y) == oracle_term_divides(x, y)
 
 
 def test_grade_examples(shape22):

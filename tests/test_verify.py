@@ -39,3 +39,11 @@ def test_groebner_single_diagram_report():
     assert rep.passed
     assert rep.params["diagram"] == "#./.."
     assert rep.params["t"] == 4
+
+
+def test_suite_with_zero_checks_does_not_pass():
+    # no shape lies in range, so nothing is checked
+    rep = run_relations(1, 1)
+    assert rep.checks == 0
+    assert not rep.passed
+    assert rep.to_json()["passed"] is False
