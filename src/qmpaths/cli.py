@@ -216,7 +216,14 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--max {max_m} {max_n}: both bounds must be at least 2")
     if args.samples < 1:
         raise UsageError(f"--samples {args.samples}: must be at least 1")
-    if args.suite == "groebner" and args.diagram:
+    if args.suite != "groebner":
+        if args.diagram is not None or args.t is not None:
+            raise UsageError(
+                f"verify {args.suite}: --diagram and -t apply to verify groebner only"
+            )
+    elif args.t is not None and args.diagram is None:
+        raise UsageError("verify groebner: -t needs --diagram")
+    if args.suite == "groebner" and args.diagram is not None:
         try:
             d = Diagram.from_text(args.diagram)
         except ValueError as exc:

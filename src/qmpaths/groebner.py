@@ -305,7 +305,9 @@ class GroebnerReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures, and at least one sample was checked."""
+        checked = self.checked_kernel + self.checked_nonkernel
+        return checked > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -353,7 +355,7 @@ def groebner_check(
 
     low = None
     if handle.t >= 2 and handle.rs not in handle.diagram.black:
-        low_handle = HPrimeHandle(handle.diagram, handle.t - 1)
+        low_handle = handle.at(handle.t - 1)
         low = (low_handle, groebner_basis(low_handle, check=False))
     queue = [e.poly for e in full_basis.elements]
     while len(queue) < samples:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .coeff import q_power
+from .coeff import ONE, q_power
 from .torus import Coord, Shape, TorusElement, key_entry, mono_key, torus_product
 from .straighten import QmPoly, Threshold
 from .cauchon import (
@@ -30,7 +30,6 @@ from .cauchon import (
     build_graph,
     enumerate_vdps,
     generator,
-    is_cauchon,
     system_weight,
     vdps_exists,
 )
@@ -142,11 +141,18 @@ class HPrimeHandle:
     __slots__ = ("diagram", "threshold", "graph")
 
     def __init__(self, diagram: Diagram, t: int):
-        if not is_cauchon(diagram):
-            raise ValueError("handle requires a Cauchon diagram")
         self.diagram = diagram
         self.threshold = Threshold.of(diagram.shape, t)
         self.graph = build_graph(diagram)
+
+    def at(self, t: int) -> "HPrimeHandle":
+        """The same diagram at threshold t, sharing this handle's graph and
+        the evaluation caches kept on it."""
+        other = object.__new__(HPrimeHandle)
+        other.diagram = self.diagram
+        other.threshold = Threshold.of(self.diagram.shape, t)
+        other.graph = self.graph
+        return other
 
     @property
     def shape(self) -> Shape:
@@ -253,15 +259,30 @@ def quantum_determinant(shape: Shape, t=None) -> QmPoly:
 # deleting / adding derivations
 
 
-def _substitute(a: QmPoly, images: dict, out_zero: QmPoly) -> QmPoly:
-    total = out_zero
+def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
+    """Substitute into the level-t algebra localized at rs = (r, s) the image
+    x_{i,j} + sign * x_{i,s} x_{r,s}^{-1} x_{r,j} of each generator northwest
+    of (r, s) and the generator itself for every other one.
+
+    The correction is kept in lexicographic order, x_{i,s} x_{r,j} x_{r,s}^{-1},
+    which costs one factor q.  The input is localized at rs or not at all,
+    so only x_{r,s} can carry a negative exponent.
+    """
+    shape = a.shape
+    r, s = rs
+    images = {}
+    for i, j in shape.coords():
+        terms = [(mono_key([(i, j, 1)]), ONE)]
+        if i < r and j < s:
+            corr = mono_key([(i, s, 1), (r, j, 1), (r, s, -1)])
+            terms.append((corr, q_power(1) * sign))
+        images[(i, j)] = QmPoly(shape, t, terms, loc=rs)
+    inverse = QmPoly.generator(shape, t, rs, e=-1, loc=rs)
+    total = QmPoly.zero(shape, t, loc=rs)
     for key, coeff in a.terms.items():
-        prod = QmPoly.one(out_zero.shape, out_zero.threshold, out_zero.loc)
+        prod = QmPoly.one(shape, t, loc=rs)
         for i, j, e in key:
-            img, inv_img = images[(i, j)]
-            factor = img if e > 0 else inv_img
-            if factor is None:
-                raise ValueError(f"no inverse image for {(i, j)}")
+            factor = images[(i, j)] if e > 0 else inverse
             for _ in range(abs(e)):
                 prod = prod * factor
         total = total + prod.scale(coeff)
@@ -278,30 +299,10 @@ def dd_forward(a: QmPoly) -> QmPoly:
     t = a.threshold.t + 1
     if t > a.shape.mn:
         raise ValueError("no level above the top threshold")
-    r, s = rs = a.shape.threshold_coord(t)
+    rs = a.shape.threshold_coord(t)
     if a.loc is not None and a.loc != rs:
         raise ValueError("input localization must be at the target coordinate")
-    zero = QmPoly.zero(a.shape, t, loc=rs)
-    images = {}
-    for coord in a.shape.coords():
-        i, j = coord
-        gen = QmPoly.generator(a.shape, t, coord, loc=rs)
-        if i < r and j < s:
-            corr = QmPoly(
-                a.shape,
-                t,
-                [(mono_key([(i, s, 1), (r, j, 1), (r, s, -1)]), q_power(1))],
-                loc=rs,
-            )
-            images[coord] = (gen - corr, None)
-        else:
-            inv = (
-                QmPoly.generator(a.shape, t, coord, e=-1, loc=rs)
-                if coord == rs
-                else None
-            )
-            images[coord] = (gen, inv)
-    return _substitute(a, images, zero)
+    return _derivation(a, t, rs, -1)
 
 
 def dd_backward(a: QmPoly) -> QmPoly:
@@ -314,30 +315,10 @@ def dd_backward(a: QmPoly) -> QmPoly:
     t = a.threshold.t
     if t < 2:
         raise ValueError("no level below the bottom threshold")
-    r, s = rs = a.threshold.rs
+    rs = a.threshold.rs
     if a.loc is not None and a.loc != rs:
         raise ValueError("input localization must be at the threshold coordinate")
-    zero = QmPoly.zero(a.shape, t - 1, loc=rs)
-    images = {}
-    for coord in a.shape.coords():
-        i, j = coord
-        gen = QmPoly.generator(a.shape, t - 1, coord, loc=rs)
-        if i < r and j < s:
-            corr = QmPoly(
-                a.shape,
-                t - 1,
-                [(mono_key([(i, s, 1), (r, j, 1), (r, s, -1)]), q_power(1))],
-                loc=rs,
-            )
-            images[coord] = (gen + corr, None)
-        else:
-            inv = (
-                QmPoly.generator(a.shape, t - 1, coord, e=-1, loc=rs)
-                if coord == rs
-                else None
-            )
-            images[coord] = (gen, inv)
-    return _substitute(a, images, zero)
+    return _derivation(a, t - 1, rs, 1)
 
 
 def clear_denominator(a: QmPoly) -> tuple[QmPoly, int]:

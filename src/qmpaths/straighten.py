@@ -30,6 +30,7 @@ from .torus import (
     EMPTY_KEY,
     MonoKey,
     Shape,
+    TermSum,
     mono_key,
 )
 
@@ -296,14 +297,16 @@ def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
 # polynomial elements
 
 
-class QmPoly:
+class QmPoly(TermSum):
     """Element of the threshold-t algebra in lexicographic expression.
 
     terms: {exponent key: scalar}, all exponents nonnegative except possibly
     at the localized coordinate `loc` (None for the plain polynomial ring).
     """
 
-    __slots__ = ("shape", "threshold", "loc", "_terms")
+    __slots__ = ("threshold", "loc")
+
+    LETTER = "x"
 
     def __init__(self, shape: Shape, t, terms=(), loc: Coord | None = None):
         self.shape = shape
@@ -317,35 +320,38 @@ class QmPoly:
                     "localized coordinate must not precede the threshold coordinate"
                 )
         self.loc = loc
-        if isinstance(terms, dict):
-            terms = terms.items()
-        acc: dict[MonoKey, LaurentScalar] = {}
-        for key, coeff in terms:
-            if not isinstance(coeff, LaurentScalar):
-                coeff = LaurentScalar.from_int(coeff)
-            for i, j, e in key:
-                shape.check_coord((i, j))
-                if e < 0 and (i, j) != loc:
-                    raise ValueError(
-                        f"negative exponent at {(i, j)} outside localization"
-                    )
-            s = acc.get(key, ZERO) + coeff
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        self._terms = acc
+        self._set_terms(terms)
+
+    def _check_key(self, key: MonoKey) -> None:
+        for i, j, e in key:
+            self.shape.check_coord((i, j))
+            if e < 0 and (i, j) != self.loc:
+                raise ValueError(
+                    f"negative exponent at {(i, j)} outside localization"
+                )
+
+    def _check_mate(self, other):
+        if not isinstance(other, QmPoly):
+            raise TypeError("expected a QmPoly")
+        if other.shape != self.shape:
+            raise ValueError("shape mismatch")
+        if other.threshold != self.threshold:
+            raise ValueError("threshold mismatch")
+        if other.loc != self.loc:
+            raise ValueError("localization mismatch")
+
+    def _like(self, terms: dict) -> "QmPoly":
+        new = object.__new__(QmPoly)
+        new.shape = self.shape
+        new.threshold = self.threshold
+        new.loc = self.loc
+        new._terms = terms
+        return new
+
+    def _algebra(self) -> tuple:
+        return (self.shape, self.threshold, self.loc)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def _raw(cls, shape, threshold, loc, terms: dict) -> "QmPoly":
-        self = object.__new__(cls)
-        self.shape = shape
-        self.threshold = threshold
-        self.loc = loc
-        self._terms = terms
-        return self
 
     @classmethod
     def zero(cls, shape: Shape, t, loc=None) -> "QmPoly":
@@ -364,53 +370,7 @@ class QmPoly:
         shape.check_coord(coord)
         return cls(shape, t, [(mono_key([(*coord, e)]), ONE)], loc)
 
-    # -- inspection ------------------------------------------------------------
-
-    @property
-    def terms(self) -> dict:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def sorted_terms(self):
-        return sorted(self._terms.items())
-
-    def _check_mate(self, other):
-        if not isinstance(other, QmPoly):
-            raise TypeError("expected a QmPoly")
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch")
-        if other.threshold != self.threshold:
-            raise ValueError("threshold mismatch")
-        if other.loc != self.loc:
-            raise ValueError("localization mismatch")
-
     # -- ring operations ---------------------------------------------------------
-
-    def __add__(self, other):
-        self._check_mate(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, ZERO) + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        return QmPoly._raw(self.shape, self.threshold, self.loc, acc)
-
-    def __neg__(self):
-        return QmPoly._raw(
-            self.shape, self.threshold, self.loc,
-            {k: -c for k, c in self._terms.items()},
-        )
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return self + (-other)
 
     def __mul__(self, other):
         self._check_mate(other)
@@ -425,36 +385,7 @@ class QmPoly:
                         acc[key] = s
                     elif key in acc:
                         del acc[key]
-        return QmPoly._raw(self.shape, self.threshold, self.loc, acc)
-
-    def scale(self, coeff) -> "QmPoly":
-        if not isinstance(coeff, LaurentScalar):
-            coeff = LaurentScalar.from_int(coeff)
-        if coeff.is_zero():
-            return QmPoly.zero(self.shape, self.threshold, self.loc)
-        return QmPoly._raw(
-            self.shape, self.threshold, self.loc,
-            {k: c * coeff for k, c in self._terms.items()},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, QmPoly):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.threshold == other.threshold
-            and self.loc == other.loc
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.shape, self.threshold, self.loc,
-             tuple(sorted(self._terms.items())))
-        )
-
-    def __bool__(self):
-        return bool(self._terms)
+        return self._like(acc)
 
     # -- order structure ------------------------------------------------------------
 
@@ -490,42 +421,13 @@ class QmPoly:
             "m": self.shape.m,
             "n": self.shape.n,
             "t": self.threshold.t,
-            "terms": [
-                {"N": [[i, j, e] for i, j, e in key], "coeff": c.to_json()}
-                for key, c in self.sorted_terms()
-            ],
+            "terms": self._terms_json(),
         }
 
     @classmethod
     def from_json(cls, data, loc=None) -> "QmPoly":
         shape = Shape(data["m"], data["n"])
-        return cls(
-            shape,
-            data["t"],
-            [
-                (mono_key((i, j, e) for i, j, e in item["N"]),
-                 LaurentScalar.from_json(item["coeff"]))
-                for item in data["terms"]
-            ],
-            loc,
-        )
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for key, c in self.sorted_terms():
-            mono = "".join(
-                f"x[{i},{j}]" + (f"^{e}" if e != 1 else "") for i, j, e in key
-            )
-            cs = repr(c)
-            if mono == "":
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(mono)
-            else:
-                bits.append(f"({cs})*{mono}")
-        return " + ".join(bits)
+        return cls(shape, data["t"], cls._terms_from_json(data["terms"]), loc)
 
 
 def qm_mul(x: QmPoly, y: QmPoly) -> QmPoly:

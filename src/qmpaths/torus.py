@@ -168,30 +168,157 @@ def monomial_inverse(a: MonoKey) -> tuple[int, MonoKey]:
 
 
 # ---------------------------------------------------------------------------
-# torus elements
+# sparse term sums
 
 
-class TorusElement:
-    """Finite sum of Laurent monomials coeff * t^N in canonical form."""
+class TermSum:
+    """Finite sum {exponent key: LaurentScalar} in canonical form: no zero
+    coefficients, each key once.
+
+    The arithmetic that does not depend on the algebra lives here.  A
+    subclass names its algebra: it sets its attributes, validates keys in
+    `_check_key`, checks operands in `_check_mate`, builds a result in the
+    same algebra in `_like`, returns its attributes from `_algebra` for
+    equality and hashing, sets `LETTER`, the generator letter `repr` prints,
+    and defines `__mul__` in its own body.
+    """
 
     __slots__ = ("shape", "_terms")
 
-    def __init__(self, shape: Shape, terms=()):
-        self.shape = shape
+    def _set_terms(self, terms) -> None:
+        """Canonicalize (key, coeff) pairs or a dict into `_terms`."""
         if isinstance(terms, dict):
             terms = terms.items()
         acc: dict[MonoKey, LaurentScalar] = {}
         for key, coeff in terms:
             if not isinstance(coeff, LaurentScalar):
                 coeff = LaurentScalar.from_int(coeff)
-            if not key_in_shape(key, shape):
-                raise ValueError(f"key {key} outside shape {shape.m}x{shape.n}")
+            self._check_key(key)
             s = acc.get(key, ZERO) + coeff
             if s:
                 acc[key] = s
             elif key in acc:
                 del acc[key]
         self._terms = acc
+
+    @property
+    def terms(self) -> dict:
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def sorted_terms(self):
+        return sorted(self._terms.items())
+
+    def __add__(self, other):
+        self._check_mate(other)
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            s = acc.get(key, ZERO) + c
+            if s:
+                acc[key] = s
+            elif key in acc:
+                del acc[key]
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        self._check_mate(other)
+        return self + (-other)
+
+    def scale(self, coeff):
+        if not isinstance(coeff, LaurentScalar):
+            coeff = LaurentScalar.from_int(coeff)
+        if coeff.is_zero():
+            return self._like({})
+        return self._like({k: c * coeff for k, c in self._terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._algebra() == other._algebra() and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((*self._algebra(), tuple(sorted(self._terms.items()))))
+
+    def _terms_json(self) -> list:
+        return [
+            {"N": [[i, j, e] for i, j, e in key], "coeff": c.to_json()}
+            for key, c in self.sorted_terms()
+        ]
+
+    @staticmethod
+    def _terms_from_json(data) -> list:
+        return [
+            (mono_key((i, j, e) for i, j, e in item["N"]),
+             LaurentScalar.from_json(item["coeff"]))
+            for item in data
+        ]
+
+    def __repr__(self):
+        if not self._terms:
+            return "0"
+        letter = self.LETTER
+        bits = []
+        for key, c in self.sorted_terms():
+            mono = "".join(
+                f"{letter}[{i},{j}]" + (f"^{e}" if e != 1 else "")
+                for i, j, e in key
+            )
+            cs = repr(c)
+            if mono == "":
+                bits.append(cs)
+            elif cs == "1":
+                bits.append(mono)
+            else:
+                bits.append(f"({cs})*{mono}")
+        return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# torus elements
+
+
+class TorusElement(TermSum):
+    """Finite sum of Laurent monomials coeff * t^N in canonical form."""
+
+    __slots__ = ()
+
+    LETTER = "t"
+
+    def __init__(self, shape: Shape, terms=()):
+        self.shape = shape
+        self._set_terms(terms)
+
+    def _check_key(self, key: MonoKey) -> None:
+        if not key_in_shape(key, self.shape):
+            raise ValueError(
+                f"key {key} outside shape {self.shape.m}x{self.shape.n}"
+            )
+
+    def _check_mate(self, other):
+        if not isinstance(other, TorusElement):
+            raise TypeError("expected a TorusElement")
+        if other.shape != self.shape:
+            raise ValueError("shape mismatch")
+
+    def _like(self, terms: dict) -> "TorusElement":
+        new = object.__new__(TorusElement)
+        new.shape = self.shape
+        new._terms = terms
+        return new
+
+    def _algebra(self) -> tuple:
+        return (self.shape,)
 
     @classmethod
     def _raw(cls, shape, terms: dict) -> "TorusElement":
@@ -212,42 +339,6 @@ class TorusElement:
     def monomial(cls, shape: Shape, key: MonoKey, coeff=ONE) -> "TorusElement":
         return cls(shape, [(key, coeff)])
 
-    @property
-    def terms(self) -> dict:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def _check_mate(self, other):
-        if not isinstance(other, TorusElement):
-            raise TypeError("expected a TorusElement")
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other):
-        self._check_mate(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, ZERO) + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        return TorusElement._raw(self.shape, acc)
-
-    def __neg__(self):
-        return TorusElement._raw(
-            self.shape, {k: -c for k, c in self._terms.items()}
-        )
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return self + (-other)
-
     def __mul__(self, other):
         self._check_mate(other)
         acc: dict[MonoKey, LaurentScalar] = {}
@@ -260,16 +351,7 @@ class TorusElement:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
-        return TorusElement._raw(self.shape, acc)
-
-    def scale(self, coeff) -> "TorusElement":
-        if not isinstance(coeff, LaurentScalar):
-            coeff = LaurentScalar.from_int(coeff)
-        if coeff.is_zero():
-            return TorusElement.zero(self.shape)
-        return TorusElement._raw(
-            self.shape, {k: c * coeff for k, c in self._terms.items()}
-        )
+        return self._like(acc)
 
     def as_monomial(self):
         """(key, coeff) if this is a single term, else None."""
@@ -284,55 +366,14 @@ class TorusElement:
             raise ValueError("only monomial torus elements are invertible here")
         key, coeff = m
         e, nk = monomial_inverse(key)
-        return TorusElement._raw(self.shape, {nk: coeff.inverse() * q_power(e)})
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.shape == other.shape and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.shape, tuple(sorted(self._terms.items()))))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def sorted_terms(self):
-        return sorted(self._terms.items())
+        return self._like({nk: coeff.inverse() * q_power(e)})
 
     def to_json(self) -> list:
-        return [
-            {"N": [[i, j, e] for i, j, e in key], "coeff": c.to_json()}
-            for key, c in self.sorted_terms()
-        ]
+        return self._terms_json()
 
     @classmethod
     def from_json(cls, shape: Shape, data) -> "TorusElement":
-        return cls(
-            shape,
-            [
-                (mono_key((i, j, e) for i, j, e in item["N"]),
-                 LaurentScalar.from_json(item["coeff"]))
-                for item in data
-            ],
-        )
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for key, c in self.sorted_terms():
-            mono = "".join(
-                f"t[{i},{j}]" + (f"^{e}" if e != 1 else "") for i, j, e in key
-            )
-            cs = repr(c)
-            if mono == "":
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(mono)
-            else:
-                bits.append(f"({cs})*{mono}")
-        return " + ".join(bits)
+        return cls(shape, cls._terms_from_json(data))
 
 
 def t_gen(shape: Shape, i: int, j: int, e: int = 1) -> TorusElement:

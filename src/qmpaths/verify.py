@@ -163,8 +163,9 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                 for J in combinations(range(1, shape.n + 1), k)
             ]
             for d in enumerate_cauchon_diagrams(shape):
+                base = HPrimeHandle(d, 1)
                 for t in range(1, shape.mn + 1):
-                    h = HPrimeHandle(d, t)
+                    h = base.at(t)
                     for spec in specs:
                         if spec.max_coord > h.rs:
                             continue
@@ -226,12 +227,13 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
             # exact generator identities in the torus, and compatibility of
             # the evaluation maps across one level
             for d in enumerate_cauchon_diagrams(shape):
-                g = build_graph(d)
+                base = HPrimeHandle(d, 1)
+                g = base.graph
                 for t in range(2, shape.mn + 1):
                     r, s = rs = shape.threshold_coord(t)
                     in_b = d.is_black(rs)
-                    h_hi = HPrimeHandle(d, t)
-                    h_lo = HPrimeHandle(d, t - 1)
+                    h_hi = base.at(t)
+                    h_lo = base.at(t - 1)
                     y_rs_inv = None if in_b else generator(g, t - 1, r, s).inverse()
                     for (i, j) in shape.coords():
                         x = generator(g, t, i, j)

@@ -208,9 +208,16 @@ def test_usage_error_exit_code(capsys):
         ["verify", "relations", "--max", "1", "1"],
         ["verify", "all", "--max", "1", "3"],
         ["hprime", "2", "2", "--diagram-file", "/nonexistent/diagram.txt"],
+        ["verify", "relations", "--diagram", "#./.."],
+        ["verify", "lindstrom", "-t", "2"],
+        ["verify", "ddalg", "--diagram", "#./..", "-t", "2"],
+        ["verify", "all", "--diagram", "#./.."],
+        ["verify", "groebner", "-t", "2"],
     ],
     ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
-         "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file"],
+         "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file",
+         "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
+         "groebner-t-without-diagram"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -210,6 +210,13 @@ def test_groebner_check_empty_diagram_vacuous(shape22):
     assert rep.checked_nonkernel == 20
 
 
+def test_groebner_check_with_no_samples_does_not_pass(staircase_handle):
+    rep = groebner_check(staircase_handle, samples=0, seed=1)
+    assert rep.checked_kernel == rep.checked_nonkernel == 0
+    assert rep.failures == []
+    assert not rep.passed
+
+
 def test_groebner_check_staircase(staircase_handle):
     rep = groebner_check(staircase_handle, samples=60, seed=7)
     assert rep.passed

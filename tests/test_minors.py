@@ -130,6 +130,26 @@ def test_inversions_matches_oracle():
 # evaluation
 
 
+def test_handle_rejects_a_non_cauchon_diagram(shape22):
+    # (2,2) is black with white squares above and to its left
+    bad = Diagram.of(shape22, [(2, 2)])
+    with pytest.raises(ValueError, match=r"not a Cauchon diagram.*\(2, 2\)"):
+        HPrimeHandle(bad, 4)
+
+
+def test_handle_at_shares_the_graph(grid_3x3_diagram):
+    base = HPrimeHandle(grid_3x3_diagram, 9)
+    for t in range(1, 10):
+        h = base.at(t)
+        assert h == HPrimeHandle(grid_3x3_diagram, t)
+        assert h.graph is base.graph
+        spec = MinorSpec.of((1, 2), (1, 2))
+        if spec.max_coord <= h.rs:
+            assert sigma(h, minor_poly(h.shape, t, spec)) == lindstrom_eval(h, spec)
+    with pytest.raises(ValueError):
+        base.at(10)
+
+
 def test_sigma_black_generator_vanishes():
     # a black square beyond the threshold coordinate has an empty path family
     sh = Shape(2, 3)
