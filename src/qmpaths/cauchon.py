@@ -15,7 +15,10 @@ off their turns: direction changes horizontal-to-vertical contribute t_{i,j},
 vertical-to-horizontal contribute t_{i,j}^{-1}, taken in path order.  The
 restricted family gamma(t; i, j) keeps the paths whose
 vertical-to-horizontal turns all sit at coordinates <= the t-th smallest
-coordinate (r, s).
+coordinate (r, s).  The families are nested in t, and at t = mn gamma holds
+every row-i-to-column-j path, so each family is a filter over one walk of
+those paths that records, per path, its weight monomial and its largest
+vertical-to-horizontal turn.
 """
 
 from __future__ import annotations
@@ -203,10 +206,13 @@ def enumerate_cauchon_diagrams(shape: Shape):
 class CauchonGraph:
     """The directed grid graph of a Cauchon diagram, with its grid embedding.
 
-    The graph also holds the evaluation data derived from it, each keyed by
-    (threshold coordinate, i, j) and built on first use: the restricted path
-    families, their vertex sets, and the generator path sums.  Those objects
-    are shared by every caller and must not be mutated.
+    The graph also holds the evaluation data derived from it, built on
+    first use: per (i, j), every path from row i to column j with its vertex
+    set, weight monomial and largest reflected-L turn; per (threshold
+    coordinate, i, j), the restricted family read off that list with its
+    vertex sets and generator path sum; and per (threshold coordinate, I, J),
+    the vertex-disjoint path systems.  Those objects are shared by every
+    caller and must not be mutated.
     """
 
     def __init__(self, diagram: Diagram):
@@ -248,9 +254,8 @@ class CauchonGraph:
                     add(white_vertex(i, j), col_vertex(j))
                     break
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
+        self._paths_cache: dict = {}
         self._gamma_cache: dict = {}
-        self._vertex_sets_cache: dict = {}
-        self._generator_cache: dict = {}
         self._vdps_cache: dict = {}
 
     def out_edges(self, v: Vertex) -> tuple:
@@ -310,50 +315,13 @@ def path_in_gamma(g: CauchonGraph, path, rs: Coord) -> bool:
     )
 
 
-def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
-    """All paths from row vertex i to column vertex j whose reflected-L turns
-    sit at coordinates <= the t-th smallest coordinate.
-
-    Emitted in lexicographic order of their vertex sequences; cached per
-    (threshold coordinate, i, j).
-    """
-    rs = g.shape.threshold_coord(t)
-    key = (rs, i, j)
-    hit = g._gamma_cache.get(key)
-    if hit is not None:
-        return hit
-    if not 1 <= i <= g.shape.m or not 1 <= j <= g.shape.n:
-        raise ValueError("row or column index out of range")
-    target = col_vertex(j)
-    start = row_vertex(i)
-    paths = []
-    stack = [(start,)]
-    # DFS over the DAG; out-neighbor lists are sorted, and a stack that pushes
-    # in reverse-sorted order pops candidates in lexicographic order
-    while stack:
-        path = stack.pop()
-        v = path[-1]
-        if v == target:
-            paths.append(path)
-            continue
-        for w in reversed(g.out_edges(v)):
-            if w[0] == "c" and w != target:
-                continue
-            if len(path) >= 2 and is_white(v):
-                din = g.edge_dir(path[-2], v)
-                dout = g.edge_dir(v, w)
-                if din == "v" and dout == "h" and (v[1], v[2]) > rs:
-                    continue
-            stack.append(path + (w,))
-    paths = tuple(paths)
-    g._gamma_cache[key] = paths
-    return paths
-
-
 def enumerate_paths_between(g: CauchonGraph, src: Vertex, dst: Vertex):
-    """All directed paths src -> dst, unrestricted (used by the test suite)."""
+    """All directed paths src -> dst, in lexicographic order of their vertex
+    sequences."""
     paths = []
     stack = [(src,)]
+    # out-neighbor lists are sorted, and a stack that pushes in
+    # reverse-sorted order pops candidates in lexicographic order
     while stack:
         path = stack.pop()
         v = path[-1]
@@ -365,18 +333,21 @@ def enumerate_paths_between(g: CauchonGraph, src: Vertex, dst: Vertex):
     return tuple(paths)
 
 
+def _turn_monomial(turns, qexp: int = 0, mono=EMPTY_KEY) -> tuple:
+    """(q-exponent, key) of q^qexp t^mono times the alternating turn product
+    of a row-to-column path's turns (t_{i,j} at the first turn, its inverse
+    at the second, and so on)."""
+    sign = 1
+    for (a, b), _kind in turns:
+        c, mono = monomial_mul(mono, ((a, b, sign),))
+        qexp += c
+        sign = -sign
+    return qexp, mono
+
+
 def path_weight(g: CauchonGraph, path) -> TorusElement:
     """Weight of a row-to-column path: the alternating turn product."""
-    if not g.is_path(path):
-        raise ValueError("not a path in this graph")
-    if path[0][0] != "r" or path[-1][0] != "c":
-        raise ValueError("weights are defined for row-to-column paths")
-    factors = []
-    sign = 1
-    for coord, kind in path_turns(g, path):
-        factors.append(t_gen(g.shape, *coord, e=sign))
-        sign = -sign
-    return torus_product(g.shape, factors)
+    return system_weight(g, (path,))
 
 
 def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
@@ -400,30 +371,57 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
     return torus_product(g.shape, factors)
 
 
+class _Family(tuple):
+    """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
+    `vertex_sets` and the generator path sum as `generator`."""
+
+
+def _row_column_paths(g: CauchonGraph, i: int, j: int) -> tuple:
+    """(path, vertex set, q-exponent, key, largest reflected-L turn or
+    (0, 0)) for every path row i -> column j, in enumeration order; cached
+    on the graph per (i, j)."""
+    records = g._paths_cache.get((i, j))
+    if records is None:
+        if not 1 <= i <= g.shape.m or not 1 <= j <= g.shape.n:
+            raise ValueError("row or column index out of range")
+        records = []
+        for path in enumerate_paths_between(g, row_vertex(i), col_vertex(j)):
+            turns = path_turns(g, path)
+            bound = max((c for c, k in turns if k == "mirror"), default=(0, 0))
+            records.append((path, frozenset(path), *_turn_monomial(turns), bound))
+        records = g._paths_cache[(i, j)] = tuple(records)
+    return records
+
+
+def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
+    """All paths from row vertex i to column vertex j whose reflected-L turns
+    sit at coordinates <= the t-th smallest coordinate, in lexicographic
+    order of their vertex sequences.
+
+    Read off the row i -> column j path list and cached on the graph per
+    (threshold coordinate, i, j), with the vertex sets and generator sum.
+    """
+    rs = g.shape.threshold_coord(t)
+    fam = g._gamma_cache.get((rs, i, j))
+    if fam is None:
+        members = [r for r in _row_column_paths(g, i, j) if r[4] <= rs]
+        # every path weight is +q^c t^N, so no sum of them cancels to zero
+        acc: dict = {}
+        for _path, _vset, qexp, mono, _bound in members:
+            acc[mono] = acc.get(mono, ZERO) + q_power(qexp)
+        fam = g._gamma_cache[(rs, i, j)] = _Family(r[0] for r in members)
+        fam.vertex_sets = tuple(r[1] for r in members)
+        fam.generator = TorusElement._raw(g.shape, acc)
+    return fam
+
+
 def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
     """Path-sum image of the (i, j) generator: sum of weights over gamma.
 
-    Built once per (threshold coordinate, i, j) and cached on the graph; the
-    returned element is shared, so callers must not mutate its terms.  Each
-    path weight is the turn product accumulated as an exponent key and a
-    q-exponent, which path_weight computes the long way.
+    The returned element is shared through the graph's cache, so callers
+    must not mutate its terms.
     """
-    key = (g.shape.threshold_coord(t), i, j)
-    hit = g._generator_cache.get(key)
-    if hit is not None:
-        return hit
-    # every path weight is +q^c t^N, so no sum of them cancels to zero
-    acc: dict = {}
-    for path in enumerate_gamma(g, t, i, j):
-        mono, qexp, sign = EMPTY_KEY, 0, 1
-        for (a, b), _kind in path_turns(g, path):
-            c, mono = monomial_mul(mono, ((a, b, sign),))
-            qexp += c
-            sign = -sign
-        acc[mono] = acc.get(mono, ZERO) + q_power(qexp)
-    total = TorusElement._raw(g.shape, acc)
-    g._generator_cache[key] = total
-    return total
+    return enumerate_gamma(g, t, i, j).generator
 
 
 def generator_matrix(g: CauchonGraph, t: int) -> tuple:
@@ -462,9 +460,9 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
         if idx == len(choices):
             systems.append(tuple(acc))
             return
-        for path in choices[idx]:
-            pset = set(path)
-            if used & pset:
+        fam = choices[idx]
+        for path, pset in zip(fam, fam.vertex_sets):
+            if not used.isdisjoint(pset):
                 continue
             acc.append(path)
             rec(idx + 1, used | pset, acc)
@@ -476,17 +474,6 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     return systems
 
 
-def _gamma_vertex_sets(g: CauchonGraph, t: int, i: int, j: int) -> tuple:
-    """The vertex sets (frozensets) of enumerate_gamma's paths, in the same
-    order; cached on the graph per (threshold coordinate, i, j)."""
-    key = (g.shape.threshold_coord(t), i, j)
-    hit = g._vertex_sets_cache.get(key)
-    if hit is None:
-        hit = tuple(frozenset(p) for p in enumerate_gamma(g, t, i, j))
-        g._vertex_sets_cache[key] = hit
-    return hit
-
-
 def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     """Early-exit variant of enumerate_vdps."""
     I = tuple(I)
@@ -496,7 +483,7 @@ def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     rs = g.shape.threshold_coord(t)
     if (rs, I, J) in g._vdps_cache:
         return bool(g._vdps_cache[(rs, I, J)])
-    choices = [_gamma_vertex_sets(g, t, i, j) for i, j in zip(I, J)]
+    choices = [enumerate_gamma(g, t, i, j).vertex_sets for i, j in zip(I, J)]
     last = len(choices) - 1
 
     def rec(idx, used):
@@ -510,7 +497,14 @@ def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
 
 def system_weight(g: CauchonGraph, system) -> TorusElement:
     """Product of the member path weights, in system order."""
-    return torus_product(g.shape, (path_weight(g, p) for p in system))
+    qexp, mono = 0, EMPTY_KEY
+    for p in system:
+        if not g.is_path(p):
+            raise ValueError("not a path in this graph")
+        if p[0][0] != "r" or p[-1][0] != "c":
+            raise ValueError("weights are defined for row-to-column paths")
+        qexp, mono = _turn_monomial(path_turns(g, p), qexp, mono)
+    return TorusElement._raw(g.shape, {mono: q_power(qexp)})
 
 
 def system_turn_key(g: CauchonGraph, system):

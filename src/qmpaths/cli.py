@@ -203,8 +203,11 @@ def cmd_graph(args) -> int:
     d = _diagram(args, shape)
     dot = export_dot(build_graph(d))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise UsageError(f"cannot write the output file: {exc}")
     else:
         sys.stdout.write(dot)
     return 0

@@ -77,9 +77,6 @@ class LaurentScalar:
     def is_zero(self) -> bool:
         return not self._t
 
-    def is_one(self) -> bool:
-        return self._t == ((0, 1),)
-
     def as_monomial(self):
         """Return (power, coeff) if this is a single term, else None."""
         if len(self._t) == 1:

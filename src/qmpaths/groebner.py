@@ -242,7 +242,6 @@ def random_kernel_element(
     handle: HPrimeHandle,
     basis: GroebnerBasis,
     rng,
-    max_degree: int = 2,
     low: tuple | None = None,
 ) -> QmPoly:
     """Pseudo-random kernel member: a short sum of right-multiples of basis
@@ -254,36 +253,34 @@ def random_kernel_element(
         if low_basis.elements:
             from .minors import clear_denominator, dd_forward
 
-            b = _random_right_combination(low_handle, low_basis, rng, max_degree)
+            b = _random_right_combination(low_handle, low_basis, rng)
             if not b.is_zero():
                 img, _h = clear_denominator(dd_forward(b))
                 if not img.is_zero():
                     return img
-    return _random_right_combination(handle, basis, rng, max_degree)
+    return _random_right_combination(handle, basis, rng)
 
 
-def _random_right_combination(handle, basis, rng, max_degree):
+def _random_right_combination(handle, basis, rng):
     shape, t = handle.shape, handle.t
     total = QmPoly.zero(shape, t)
     if not basis.elements:
         return total
     for _ in range(rng.randint(1, 2)):
         e = rng.choice(basis.elements)
-        key = _random_monomial_key(rng, shape, max_degree)
+        key = _random_monomial_key(rng, shape, 2)
         coeff = rng.choice(_COEFF_POOL)
         total = total + (e.poly * QmPoly.monomial(shape, t, key)).scale(coeff)
     return total
 
 
-def random_nonkernel_element(
-    handle: HPrimeHandle, rng, max_degree: int = 3
-) -> QmPoly:
+def random_nonkernel_element(handle: HPrimeHandle, rng) -> QmPoly:
     """Pseudo-random element with nonzero evaluation: random terms plus a
     constant, nudged until sigma is visibly nonzero."""
     shape, t = handle.shape, handle.t
     terms = [(mono_key(()), rng.choice(_COEFF_POOL))]
     for _ in range(rng.randint(0, 2)):
-        terms.append((_random_monomial_key(rng, shape, max_degree),
+        terms.append((_random_monomial_key(rng, shape, 3),
                       rng.choice(_COEFF_POOL)))
     a = QmPoly(shape, t, terms)
     bump = 1
@@ -327,7 +324,6 @@ def groebner_check(
     samples: int = 200,
     seed: int = 0,
     basis: GroebnerBasis | None = None,
-    nonkernel_samples: int | None = None,
 ) -> GroebnerReport:
     """Randomized validation of the Groebner property.
 
@@ -378,8 +374,7 @@ def groebner_check(
         recon = apply_trace(basis, trace)
         if recon != a:
             witness("trace-mismatch", a)
-    n_non = samples if nonkernel_samples is None else nonkernel_samples
-    for _ in range(n_non):
+    for _ in range(samples):
         a = random_nonkernel_element(handle, rng)
         report.checked_nonkernel += 1
         rem, _trace = reduce(a, basis)

@@ -67,14 +67,14 @@ class MinorSpec:
         return (self.I[-1], self.J[-1])
 
     def check_in_shape(self, shape: Shape) -> "MinorSpec":
-        if self.I[-1] > shape.m or self.J[-1] > shape.n:
+        low, high = (self.I[0], self.J[0]), self.max_coord
+        if not (shape.contains(low) and shape.contains(high)):
             raise ValueError(f"minor {self} does not fit a {shape.m}x{shape.n} grid")
         return self
 
-    def diagonal_subminors(self, proper: bool = True):
-        """Minors on subsets of the diagonal coordinate pairs."""
-        top = self.k if proper else self.k + 1
-        for size in range(1, top):
+    def diagonal_subminors(self):
+        """Minors on proper subsets of the diagonal coordinate pairs."""
+        for size in range(1, self.k):
             for pick in combinations(range(self.k), size):
                 yield MinorSpec(
                     tuple(self.I[p] for p in pick),

@@ -396,11 +396,6 @@ class QmPoly(TermSum):
         key = max(self._terms, key=_TermKey)
         return key, self._terms[key]
 
-    def monic(self) -> "QmPoly":
-        """Scale so the leading coefficient is 1 (leading coeff must be a unit)."""
-        key, c = self.leading_term()
-        return self.scale(c.inverse())
-
     # -- localization ----------------------------------------------------------------
 
     def with_loc(self, loc: Coord | None) -> "QmPoly":

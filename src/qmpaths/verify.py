@@ -191,12 +191,12 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
 # suite: deleting / adding derivations
 
 
-def _random_qmpoly(shape: Shape, t: int, rng, max_terms=3, max_degree=3) -> QmPoly:
+def _random_qmpoly(shape: Shape, t: int, rng) -> QmPoly:
     coords = list(shape.coords())
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         key = mono_key(
-            (*rng.choice(coords), 1) for _ in range(rng.randint(0, max_degree))
+            (*rng.choice(coords), 1) for _ in range(rng.randint(0, 3))
         )
         terms[key] = q_power(rng.randint(-2, 2)) * rng.choice((1, -1, 2))
     return QmPoly(shape, t, terms)

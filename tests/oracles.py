@@ -3,8 +3,9 @@
 Everything here is deliberately naive: literal adjacent transpositions for
 torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
-quantum minor, and divisibility through a dense lookup.  None of it shares code
-with the library paths it validates.
+quantum minor, divisibility through a dense lookup, and a restricted path
+family grown by a DFS that refuses each reflected-L turn past the threshold as
+it is taken.  None of it shares code with the library paths it validates.
 """
 
 from itertools import permutations
@@ -100,3 +101,34 @@ def oracle_term_divides(a, b):
     """Entrywise a <= b, reading b's entries through a dict (0 if absent)."""
     entries = {(i, j): e for i, j, e in b}
     return all(e <= entries.get((i, j), 0) for i, j, e in a)
+
+
+def oracle_gamma(g, t, i, j):
+    """gamma(t; i, j) by a DFS from row vertex i to column vertex j that
+    never extends a path by a vertical-in/horizontal-out turn at a white
+    square past the t-th smallest coordinate.  Paths come out in
+    lexicographic order of their vertex sequences: out-neighbor lists are
+    sorted and pushed in reverse."""
+    rs = ((t - 1) // g.shape.n + 1, (t - 1) % g.shape.n + 1)
+    start, target = ("r", i), ("c", j)
+
+    def horizontal(u, v):
+        return u[0] == "r" or (u[0] == v[0] == "w" and u[1] == v[1])
+
+    paths = []
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        v = path[-1]
+        if v == target:
+            paths.append(path)
+            continue
+        for w in reversed(g.out_edges(v)):
+            if w[0] == "c" and w != target:
+                continue
+            if len(path) >= 2 and v[0] == "w":
+                if (not horizontal(path[-2], v) and horizontal(v, w)
+                        and (v[1], v[2]) > rs):
+                    continue
+            stack.append(path + (w,))
+    return tuple(paths)

@@ -33,7 +33,7 @@ from qmpaths.cauchon import (
     white_vertex,
 )
 
-from oracles import oracle_all_cauchon_sets
+from oracles import oracle_all_cauchon_sets, oracle_gamma
 
 R, C, W = row_vertex, col_vertex, white_vertex
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +168,16 @@ def test_gamma_monotone_in_threshold():
                     prev = cur
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_gamma_equals_pruning_dfs_oracle(m, n):
+    sh = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(sh):
+        g = build_graph(d)
+        for t in range(1, m * n + 1):
+            for i, j in sh.coords():
+                assert enumerate_gamma(g, t, i, j) == oracle_gamma(g, t, i, j)
+
+
 def test_gamma_canonical_order(grid_4x4_diagram):
     g = build_graph(grid_4x4_diagram)
     paths = enumerate_gamma(g, 16, 1, 1)
@@ -245,10 +255,13 @@ def test_cached_generator_equals_path_weight_sum():
             for t in range(1, m * n + 1):
                 for i, j in sh.coords():
                     expected = TorusElement.zero(sh)
+                    by_edges = TorusElement.zero(sh)
                     for p in enumerate_gamma(g, t, i, j):
                         expected = expected + path_weight(g, p)
+                        by_edges = by_edges + path_weight_by_edges(g, p)
                     first = generator(g, t, i, j)
                     assert first == expected
+                    assert first == by_edges
                     again = generator(g, t, i, j)
                     assert again is first and again == expected
 

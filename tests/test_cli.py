@@ -213,11 +213,15 @@ def test_usage_error_exit_code(capsys):
         ["verify", "ddalg", "--diagram", "#./..", "-t", "2"],
         ["verify", "all", "--diagram", "#./.."],
         ["verify", "groebner", "-t", "2"],
+        ["minor", "2", "2", "--diagram", "../..", "--spec", "[0|1]"],
+        ["minor", "2", "2", "--diagram", "../..", "--spec", "[-1|1]"],
+        ["graph", "2", "2", "--diagram", "../..", "-o", "/nonexistent/dir/x.dot"],
     ],
     ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
          "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file",
          "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
-         "groebner-t-without-diagram"],
+         "groebner-t-without-diagram", "minor-index-0", "minor-index-negative",
+         "graph-unwritable-output"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -50,6 +50,13 @@ def test_minor_spec_validation_and_parse():
         MinorSpec.parse("1,2|1,3")
 
 
+def test_check_in_shape_rejects_indices_outside_the_grid(shape22):
+    assert MinorSpec.of([1, 2], [1, 2]).check_in_shape(shape22).k == 2
+    for I, J in [([0], [1]), ([-1], [1]), ([1], [0]), ([1, 3], [1, 2]), ([1], [3])]:
+        with pytest.raises(ValueError, match="does not fit"):
+            MinorSpec.of(I, J).check_in_shape(shape22)
+
+
 def test_diagonal_subminors():
     s = MinorSpec.of([1, 2, 3], [1, 2, 4])
     subs = {str(x) for x in s.diagonal_subminors()}
