@@ -217,8 +217,17 @@ def cmd_verify(args) -> int:
     max_m, max_n = args.max
     if max_m < 2 or max_n < 2:
         raise UsageError(f"--max {max_m} {max_n}: both bounds must be at least 2")
-    if args.samples < 1:
-        raise UsageError(f"--samples {args.samples}: must be at least 1")
+    if args.suite in ("relations", "lindstrom"):
+        if args.samples is not None or args.seed is not None:
+            raise UsageError(
+                f"verify {args.suite}: --samples and --seed apply to ddalg, "
+                "groebner and all only"
+            )
+    else:
+        args.samples = 200 if args.samples is None else args.samples
+        args.seed = 0 if args.seed is None else args.seed
+        if args.samples < 1:
+            raise UsageError(f"--samples {args.samples}: must be at least 1")
     if args.suite != "groebner":
         if args.diagram is not None or args.t is not None:
             raise UsageError(
@@ -332,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "groebner", "all"])
     p.add_argument("--max", nargs=2, type=int, default=[3, 3],
                    metavar=("M", "N"))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--diagram", help="restrict groebner suite to one diagram")
     p.add_argument("-t", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")

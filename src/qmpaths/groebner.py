@@ -26,6 +26,8 @@ from .straighten import (
 from .minors import (
     HPrimeHandle,
     MinorSpec,
+    clear_denominator,
+    dd_forward,
     kernel_member,
     minor_in_kernel,
     minor_poly,
@@ -251,8 +253,6 @@ def random_kernel_element(
     if low is not None and rng.random() < 0.3:
         low_handle, low_basis = low
         if low_basis.elements:
-            from .minors import clear_denominator, dd_forward
-
             b = _random_right_combination(low_handle, low_basis, rng)
             if not b.is_zero():
                 img, _h = clear_denominator(dd_forward(b))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .coeff import ONE, q_power
-from .torus import Coord, Shape, TorusElement, key_entry, mono_key, torus_product
+from .torus import Coord, Shape, TorusElement, key_entry, mono_key
 from .straighten import QmPoly, Threshold
 from .cauchon import (
     Diagram,
@@ -179,10 +179,19 @@ class HPrimeHandle:
     def __repr__(self):
         return f"HPrimeHandle({self.diagram.to_inline()!r}, t={self.t})"
 
-    def generator_image(self, coord: Coord) -> TorusElement:
-        """Path sum of the generator at coord, cached on the graph (shared:
-        do not mutate its terms)."""
-        return generator(self.graph, self.t, coord[0], coord[1])
+
+def _substitute(a: QmPoly, image, one):
+    """Sum of coeff * image(i, j, sign(e))^|e| multiplied left to right over
+    each term's letters in lexicographic order; `one` is the target's unit."""
+    total = one.scale(0)
+    for key, coeff in a.terms.items():
+        prod = one
+        for i, j, e in key:
+            factor = image(i, j, 1 if e > 0 else -1)
+            for _ in range(abs(e)):
+                prod = prod * factor
+        total = total + prod.scale(coeff)
+    return total
 
 
 def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
@@ -196,24 +205,28 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
         raise ValueError("shape mismatch")
     if a.threshold != handle.threshold:
         raise ValueError("threshold mismatch")
-    total = TorusElement.zero(handle.shape)
-    for key, coeff in a.terms.items():
-        factors = []
-        for i, j, e in key:
-            base = handle.generator_image((i, j))
-            if e >= 0:
-                factors.extend([base] * e)
-            elif handle.diagram.is_black((i, j)):
-                raise ValueError("cannot invert the image of a black coordinate")
-            else:
-                factors.extend([base.inverse()] * -e)
-        total = total + torus_product(handle.shape, factors).scale(coeff)
-    return total
+    graph, t = handle.graph, handle.t
+
+    def image(i, j, e):
+        if e < 0 and handle.diagram.is_black((i, j)):
+            raise ValueError("cannot invert the image of a black coordinate")
+        base = generator(graph, t, i, j)  # cached on the graph: never mutated
+        return base if e > 0 else base.inverse()
+
+    return _substitute(a, image, TorusElement.one(handle.shape))
 
 
 def kernel_member(handle: HPrimeHandle, a: QmPoly) -> bool:
     """Membership in ker(sigma)."""
     return sigma(handle, a).is_zero()
+
+
+def _check_below_threshold(handle: HPrimeHandle, spec: MinorSpec) -> None:
+    spec.check_in_shape(handle.shape)
+    if spec.max_coord > handle.rs:
+        raise ValueError(
+            f"maximum coordinate {spec.max_coord} exceeds threshold {handle.rs}"
+        )
 
 
 def lindstrom_eval(handle: HPrimeHandle, spec: MinorSpec) -> TorusElement:
@@ -222,11 +235,7 @@ def lindstrom_eval(handle: HPrimeHandle, spec: MinorSpec) -> TorusElement:
     Valid only when the minor's maximum coordinate is at most the threshold
     coordinate; sigma(minor_poly(...)) evaluates without that hypothesis.
     """
-    spec.check_in_shape(handle.shape)
-    if spec.max_coord > handle.rs:
-        raise ValueError(
-            f"maximum coordinate {spec.max_coord} exceeds threshold {handle.rs}"
-        )
+    _check_below_threshold(handle, spec)
     total = TorusElement.zero(handle.shape)
     for system in enumerate_vdps(handle.graph, handle.t, spec.I, spec.J):
         total = total + system_weight(handle.graph, system)
@@ -236,11 +245,7 @@ def lindstrom_eval(handle: HPrimeHandle, spec: MinorSpec) -> TorusElement:
 def minor_in_kernel(handle: HPrimeHandle, spec: MinorSpec) -> bool:
     """A minor with maximum coordinate <= (r, s) lies in the kernel exactly
     when its vertex-disjoint path family is empty."""
-    spec.check_in_shape(handle.shape)
-    if spec.max_coord > handle.rs:
-        raise ValueError(
-            f"maximum coordinate {spec.max_coord} exceeds threshold {handle.rs}"
-        )
+    _check_below_threshold(handle, spec)
     return not vdps_exists(handle.graph, handle.t, spec.I, spec.J)
 
 
@@ -268,25 +273,19 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
     which costs one factor q.  The input is localized at rs or not at all,
     so only x_{r,s} can carry a negative exponent.
     """
-    shape = a.shape
-    r, s = rs
-    images = {}
-    for i, j in shape.coords():
+    shape, (r, s) = a.shape, rs
+    one = QmPoly.one(shape, t, loc=rs)
+    th, corr = one.threshold, q_power(1) * sign
+
+    def image(i, j, e):
+        if e < 0:
+            return QmPoly.generator(shape, th, rs, e=-1, loc=rs)
         terms = [(mono_key([(i, j, 1)]), ONE)]
         if i < r and j < s:
-            corr = mono_key([(i, s, 1), (r, j, 1), (r, s, -1)])
-            terms.append((corr, q_power(1) * sign))
-        images[(i, j)] = QmPoly(shape, t, terms, loc=rs)
-    inverse = QmPoly.generator(shape, t, rs, e=-1, loc=rs)
-    total = QmPoly.zero(shape, t, loc=rs)
-    for key, coeff in a.terms.items():
-        prod = QmPoly.one(shape, t, loc=rs)
-        for i, j, e in key:
-            factor = images[(i, j)] if e > 0 else inverse
-            for _ in range(abs(e)):
-                prod = prod * factor
-        total = total + prod.scale(coeff)
-    return total
+            terms.append((mono_key([(i, s, 1), (r, j, 1), (r, s, -1)]), corr))
+        return QmPoly(shape, th, terms, loc=rs)
+
+    return _substitute(a, image, one)
 
 
 def dd_forward(a: QmPoly) -> QmPoly:

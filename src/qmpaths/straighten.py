@@ -425,10 +425,6 @@ class QmPoly(TermSum):
         return cls(shape, data["t"], cls._terms_from_json(data["terms"]), loc)
 
 
-def qm_mul(x: QmPoly, y: QmPoly) -> QmPoly:
-    return x * y
-
-
 def swap_adjacent(shape: Shape, t, a: Coord, b: Coord) -> QmPoly:
     """Lexicographic expression of the out-of-order product x_a x_b.
 

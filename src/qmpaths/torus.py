@@ -66,23 +66,6 @@ class Shape:
         return (i - 1) * self.n + j
 
 
-def coord_lex_compare(a: Coord, b: Coord) -> int:
-    """-1, 0, +1 for the lexicographic order: row first, then column."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
-def lex_predecessor(shape: Shape, coord: Coord) -> Coord | None:
-    """Largest coordinate less than `coord`; None for (1, 1)."""
-    i, j = shape.check_coord(coord)
-    if j > 1:
-        return (i, j - 1)
-    if i > 1:
-        return (i - 1, shape.n)
-    return None
-
-
 def pair_commutation(a: Coord, b: Coord) -> int:
     """c with t_a t_b = q^c t_b t_a for distinct coordinates a, b."""
     if a == b:

@@ -3,14 +3,15 @@
 Everything here is deliberately naive: literal adjacent transpositions for
 torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
-quantum minor, divisibility through a dense lookup, and a restricted path
+quantum minor, divisibility through a dense lookup, a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
-it is taken.  None of it shares code with the library paths it validates.
+it is taken, and the derivation maps through a table of all mn generator
+images.  None of it shares code with the library paths it validates.
 """
 
 from itertools import permutations
 
-from qmpaths.coeff import q_power
+from qmpaths.coeff import ONE, q_power
 from qmpaths.straighten import QmPoly
 from qmpaths.torus import TorusElement, mono_key, pair_commutation
 
@@ -132,3 +133,29 @@ def oracle_gamma(g, t, i, j):
                     continue
             stack.append(path + (w,))
     return tuple(paths)
+
+
+def oracle_derivation(a, t, rs, sign):
+    """Substitute into the level-t algebra localized at rs = (r, s) the image
+    x_{i,j} + sign * x_{i,s} x_{r,s}^{-1} x_{r,j} of each generator northwest
+    of (r, s) and the generator itself for every other one, reading every
+    letter from a table of all mn images built up front."""
+    shape = a.shape
+    r, s = rs
+    images = {}
+    for i, j in shape.coords():
+        terms = [(mono_key([(i, j, 1)]), ONE)]
+        if i < r and j < s:
+            corr = mono_key([(i, s, 1), (r, j, 1), (r, s, -1)])
+            terms.append((corr, q_power(1) * sign))
+        images[(i, j)] = QmPoly(shape, t, terms, loc=rs)
+    inverse = QmPoly.generator(shape, t, rs, e=-1, loc=rs)
+    total = QmPoly.zero(shape, t, loc=rs)
+    for key, coeff in a.terms.items():
+        prod = QmPoly.one(shape, t, loc=rs)
+        for i, j, e in key:
+            factor = images[(i, j)] if e > 0 else inverse
+            for _ in range(abs(e)):
+                prod = prod * factor
+        total = total + prod.scale(coeff)
+    return total

@@ -184,6 +184,15 @@ def test_verify_output_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_samples_and_seed_default_to_200_and_0(capsys):
+    args = ["verify", "ddalg", "--max", "2", "2", "--format", "json"]
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args, "--samples", "200", "--seed", "0")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["reports"][0]["params"]["samples"] == 200
+
+
 def test_diagrams_listing_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "diagrams", "2", "3", "--format", "json")
     code2, out2, _ = run_cli(capsys, "diagrams", "2", "3", "--format", "json")
@@ -216,12 +225,14 @@ def test_usage_error_exit_code(capsys):
         ["minor", "2", "2", "--diagram", "../..", "--spec", "[0|1]"],
         ["minor", "2", "2", "--diagram", "../..", "--spec", "[-1|1]"],
         ["graph", "2", "2", "--diagram", "../..", "-o", "/nonexistent/dir/x.dot"],
+        ["verify", "relations", "--max", "2", "2", "--seed", "-5"],
+        ["verify", "lindstrom", "--max", "2", "2", "--samples", "6"],
     ],
     ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
          "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file",
          "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
          "groebner-t-without-diagram", "minor-index-0", "minor-index-negative",
-         "graph-unwritable-output"],
+         "graph-unwritable-output", "relations-seed", "lindstrom-samples"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qmpaths.coeff import ONE, q_power
-from qmpaths.torus import Shape, TorusElement, mono_key, t_gen
+from qmpaths.torus import Shape, TorusElement, mono_key, t_gen, torus_product
 from qmpaths.straighten import QmPoly, Threshold
 from qmpaths.cauchon import (
     Diagram,
@@ -25,7 +25,7 @@ from qmpaths.minors import (
     sigma,
 )
 
-from oracles import oracle_inversions, oracle_minor_poly
+from oracles import oracle_derivation, oracle_inversions, oracle_minor_poly
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -391,3 +391,74 @@ def test_sigma_on_localized(shape22):
     hb = HPrimeHandle(d_black, 4)
     with pytest.raises(ValueError):
         sigma(hb, p)
+
+
+# ---------------------------------------------------------------------------
+# the substitution loop against independent routes
+
+
+def _random_element(rng, sh, t, loc=None):
+    """A few random terms at level t; with loc, about half of them carry a
+    negative power of x_loc."""
+    coords = list(sh.coords())
+    terms = {}
+    for _k in range(rng.randint(1, 3)):
+        letters = [(*rng.choice(coords), 1) for _ in range(rng.randint(0, 3))]
+        if loc is not None and rng.random() < 0.5:
+            letters.append((*loc, -rng.randint(1, 2)))
+        terms[mono_key(letters)] = q_power(rng.randint(-2, 2))
+    return QmPoly(sh, t, terms, loc=loc)
+
+
+def _sigma_by_torus_product(h, a):
+    """sigma as a torus_product of each term's factor list, then scaled."""
+    total = TorusElement.zero(h.shape)
+    for key, coeff in a.terms.items():
+        factors = []
+        for i, j, e in key:
+            base = generator(h.graph, h.t, i, j)
+            factors.extend([base] * e if e > 0 else [base.inverse()] * -e)
+        total = total + torus_product(h.shape, factors).scale(coeff)
+    return total
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_derivations_equal_table_oracle(m, n):
+    rng = random.Random(100 + 10 * m + n)
+    sh = Shape(m, n)
+    for t in range(2, sh.mn + 1):
+        rs = sh.threshold_coord(t)
+        for loc in (None, rs):
+            for _ in range(4):
+                a = _random_element(rng, sh, t - 1, loc)
+                assert dd_forward(a) == oracle_derivation(a, t, rs, -1)
+                b = _random_element(rng, sh, t, loc)
+                assert dd_backward(b) == oracle_derivation(b, t - 1, rs, 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sigma_equals_torus_product_route(m, n):
+    # localized at rs wherever rs is white, so x_{r,s}^{-1} letters occur
+    rng = random.Random(200 + 10 * m + n)
+    sh = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(sh):
+        top = HPrimeHandle(d, sh.mn)
+        for t in range(1, sh.mn + 1):
+            h = top.at(t)
+            loc = None if d.is_black(h.rs) else h.rs
+            a = _random_element(rng, sh, t, loc)
+            assert sigma(h, a) == _sigma_by_torus_product(h, a)
+
+
+def test_zero_maps_to_zero_in_the_target_algebra(shape23):
+    d = Diagram.of(shape23, [(1, 1)])
+    for t in range(1, shape23.mn + 1):
+        image = sigma(HPrimeHandle(d, t), QmPoly.zero(shape23, t))
+        assert image == TorusElement.zero(shape23)
+    for t in range(2, shape23.mn + 1):
+        rs = shape23.threshold_coord(t)
+        for loc in (None, rs):
+            forward = dd_forward(QmPoly.zero(shape23, t - 1, loc=loc))
+            assert forward == QmPoly.zero(shape23, t, loc=rs)
+            backward = dd_backward(QmPoly.zero(shape23, t, loc=loc))
+            assert backward == QmPoly.zero(shape23, t - 1, loc=rs)

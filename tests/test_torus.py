@@ -5,8 +5,6 @@ from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import (
     Shape,
     TorusElement,
-    coord_lex_compare,
-    lex_predecessor,
     mono_key,
     monomial_inverse,
     monomial_mul,
@@ -37,11 +35,7 @@ def test_shape_validation():
 
 
 def test_coord_order_examples():
-    assert coord_lex_compare((1, 3), (2, 1)) == -1
-    assert coord_lex_compare((2, 2), (2, 2)) == 0
     sh = Shape(2, 3)
-    assert lex_predecessor(sh, (2, 1)) == (1, 3)
-    assert lex_predecessor(sh, (1, 1)) is None
     assert sh.threshold_coord(5) == (2, 2)
     assert sh.coord_position((2, 2)) == 5
 
