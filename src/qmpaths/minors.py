@@ -182,15 +182,16 @@ class HPrimeHandle:
 
 def _substitute(a: QmPoly, image, one):
     """Sum of coeff * image(i, j, sign(e))^|e| multiplied left to right over
-    each term's letters in lexicographic order; `one` is the target's unit."""
+    each term's letters in lexicographic order, starting from the first
+    factor; `one` is the target's unit (the product of no letters)."""
     total = one.scale(0)
     for key, coeff in a.terms.items():
-        prod = one
+        prod = None
         for i, j, e in key:
             factor = image(i, j, 1 if e > 0 else -1)
             for _ in range(abs(e)):
-                prod = prod * factor
-        total = total + prod.scale(coeff)
+                prod = factor if prod is None else prod * factor
+        total = total + (one if prod is None else prod).scale(coeff)
     return total
 
 

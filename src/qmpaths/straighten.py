@@ -12,11 +12,12 @@ is the quantized coordinate ring of m x n matrices.
 
 Elements are kept in lexicographic expression: a finite map from nonnegative
 exponent matrices N to scalars, standing for the ordered monomials x^N.
-Multiplication straightens words by a worklist of out-of-order adjacent
-pairs; the default strategy rewrites the rightmost descent first, and a
-pluggable strategy hook lets the tests check confluence under randomized
-orders.  A single coordinate may be localized (inverted); its exponent is
-then allowed to go negative.
+Multiplication works on these exponent keys: a key times one generator is
+straightened in a single scan of the key from its largest coordinate down,
+each block of equal letters handled in one step, and a product of two
+monomials folds that scan over the letters of the second.  A single
+coordinate may be localized (inverted); its exponent is then allowed to go
+negative.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import ONE, ZERO, LaurentScalar, lam_power, q_power
+from .coeff import ONE, ZERO, LaurentScalar, lam_power
 from .torus import (
     Coord,
     EMPTY_KEY,
@@ -176,121 +177,129 @@ def count_terms_in_grade(gv: GradeVector) -> int:
 # ---------------------------------------------------------------------------
 # the straightening engine
 #
-# Words are tuples of letters (i, j, e) with e = +1, or e = -1 only at the
-# localized coordinate.  A descent is an adjacent pair with strictly
-# decreasing coordinates; rewriting a descent swaps it, possibly at the cost
-# of a power of q and a correction word.  Each rewrite strictly decreases
-# (support matrix in the term order, inversion count), so the worklist
-# terminates within a fixed grading component.
+# Work is done on sorted exponent keys.  x^K y for one letter y = (i, j, +-1)
+# is straightened in one scan of K from its largest coordinate down: y moves
+# left past every block z^e with z > y.  A block in y's row or column costs
+# q^(-e * sign(y)); a southwest/northeast pair and a block past rs commute.
+# A block z^e southeast of y with z <= rs (or the inverted letter at rs with
+# y northwest of it) leaves one correction branch per copy h of z:
+#
+#     z^e y = y z^e - (q - q^{-1}) sum_h z^(e-1-h) (y_i, z_j) (z_i, y_j) z^h,
+#     z^-e y = y z^-e + q^2 (q - q^{-1}) sum_h z^-(e-1-h) (y_i, z_j) (z_i, y_j) z^-2 z^-h.
+#
+# The correction letters lie below z, so they are inserted recursively into
+# the prefix times z^(+-(e-1-h)), and z^(+-h) and the passed suffix are then
+# re-attached as they are.  A nested correction happens at a coordinate
+# below z, so the recursion is at most mn deep.  Coefficients along a branch
+# are kept as {(a, b): n} for n q^a (q - q^{-1})^b until a result key is
+# final.
 
-_MAX_REWRITES = 10**8
+
+def _accumulate(out, key, coeffs, dq=0, dl=0, sign=1):
+    """Add sign q^dq (q - q^{-1})^dl coeffs at key into out, never aliasing."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = {(qa + dq, lb + dl): n * sign for (qa, lb), n in coeffs.items()}
+        return
+    for (qa, lb), n in coeffs.items():
+        k = (qa + dq, lb + dl)
+        acc[k] = acc.get(k, 0) + n * sign
 
 
-def _find_descent_rightmost(w):
-    for k in range(len(w) - 2, -1, -1):
-        if (w[k][0], w[k][1]) > (w[k + 1][0], w[k + 1][1]):
-            return k
-    return -1
+def _reattach(key: MonoKey, i: int, j: int, e: int) -> MonoKey:
+    """key x_{i,j}^e for a key with no coordinate past (i, j)."""
+    if not e:
+        return key
+    if key and key[-1][0] == i and key[-1][1] == j:
+        e += key[-1][2]
+        return key[:-1] + ((i, j, e),) if e else key[:-1]
+    return key + ((i, j, e),)
 
 
-def straighten_word(rs: Coord, loc: Coord | None, word, pick=None):
-    """Lexicographic expression of a generator word.
+def _insert_letter(rs: Coord, key: MonoKey, y, coeffs, out) -> None:
+    """Add coeffs * x^key y, straightened, into out ({key: {(a, b): n}})."""
+    yi, yj, ye = y
+    shift = 0
+    p = len(key)
+    while p:
+        zi, zj, e = key[p - 1]
+        if zi < yi or (zi == yi and zj <= yj):
+            break
+        if zi == yi or zj == yj:
+            shift -= e * ye
+        elif zj > yj and (zi, zj) <= rs:
+            if e > 0:
+                unit, copies, dq, sign = 1, e, shift, -1
+                letters = ((yi, zj, 1), (zi, yj, 1))
+            else:  # the inverted letter, at rs
+                unit, copies, dq, sign = -1, -e, shift + 2, 1
+                letters = ((yi, zj, 1), (zi, yj, 1), (zi, zj, -1), (zi, zj, -1))
+            prefix, suffix = key[: p - 1], key[p:]
+            for h in range(copies):
+                start = _reattach(prefix, zi, zj, unit * (copies - 1 - h))
+                branch: dict = {}
+                _accumulate(branch, start, coeffs, dq, 1, sign)
+                for k2, c2 in _fold(rs, branch, letters).items():
+                    _accumulate(out, _reattach(k2, zi, zj, unit * h) + suffix, c2)
+        p -= 1
+    if p and key[p - 1][0] == yi and key[p - 1][1] == yj:
+        key = _reattach(key[:p], yi, yj, ye) + key[p:]
+    else:
+        key = key[:p] + (y,) + key[p:]
+    _accumulate(out, key, coeffs, shift)
 
-    rs: threshold coordinate of the algebra; loc: localized coordinate or
-    None; word: iterable of (i, j, +-1) letters (e = -1 only at loc); pick:
-    optional strategy choosing which descent to rewrite (defaults to the
-    rightmost one).  Returns {key: LaurentScalar}.
-    """
-    # coefficients along a rewrite branch stay of the form
-    # sign * q^a * (q - q^{-1})^b, tracked as an int triple
-    out: dict[MonoKey, dict] = {}
-    stack = [(1, 0, 0, tuple(word))]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > _MAX_REWRITES:
-            raise RuntimeError("straightening did not terminate (bug)")
-        sg, qa, lb, w = stack.pop()
-        idx = _find_descent_rightmost(w) if pick is None else pick(w)
-        if idx < 0:
-            key = mono_key(w)
-            if loc is None and any(e < 0 for _, _, e in key):
-                raise AssertionError("negative exponent outside localization")
-            acc = out.setdefault(key, {})
-            acc[(qa, lb)] = acc.get((qa, lb), 0) + sg
-            continue
-        u, v = w[idx], w[idx + 1]
-        swapped = w[:idx] + (v, u) + w[idx + 2 :]
-        c1 = (u[0], u[1])
-        c2 = (v[0], v[1])
-        if u[2] == 1 and v[2] == 1:
-            if c1[0] == c2[0] or c1[1] == c2[1]:
-                stack.append((sg, qa - 1, lb, swapped))
-            elif c1[1] < c2[1]:
-                # southwest past northeast: they commute
-                stack.append((sg, qa, lb, swapped))
-            else:
-                # c2 northwest of c1 (the quantum-plane diagonal pair)
-                stack.append((sg, qa, lb, swapped))
-                if c1 <= rs:
-                    corr = (
-                        w[:idx]
-                        + ((c2[0], c1[1], 1), (c1[0], c2[1], 1))
-                        + w[idx + 2 :]
-                    )
-                    stack.append((-sg, qa, lb + 1, corr))
-        elif u[2] == -1:
-            # u is the inverted letter; c1 == loc > c2
-            if c1[0] == c2[0] or c1[1] == c2[1]:
-                stack.append((sg, qa + 1, lb, swapped))
-            elif c2[1] > c1[1]:
-                stack.append((sg, qa, lb, swapped))
-            else:
-                # c2 northwest of loc
-                stack.append((sg, qa, lb, swapped))
-                if c1 == rs:
-                    r, s = c1
-                    corr = (
-                        w[:idx]
-                        + ((c2[0], s, 1), (r, c2[1], 1), (r, s, -1), (r, s, -1))
-                        + w[idx + 2 :]
-                    )
-                    stack.append((sg, qa + 2, lb + 1, corr))
-        else:
-            # v is the inverted letter; every c1 > loc q*-commutes with it
-            if c1[0] == c2[0] or c1[1] == c2[1]:
-                stack.append((sg, qa + 1, lb, swapped))
-            else:
-                stack.append((sg, qa, lb, swapped))
 
-    result: dict[MonoKey, LaurentScalar] = {}
-    for key, parts in out.items():
-        c = ZERO
+def _fold(rs: Coord, terms: dict, letters) -> dict:
+    """terms ({key: {(a, b): n}}) times the letters, in lexicographic
+    expression; equal keys are merged after every letter."""
+    for y in letters:
+        out: dict = {}
+        for key, coeffs in terms.items():
+            _insert_letter(rs, key, y, coeffs, out)
+        terms = out
+    return terms
+
+
+def _scalars(terms: dict) -> dict[MonoKey, LaurentScalar]:
+    """One LaurentScalar per key from its {(a, b): n} parts; zeros dropped."""
+    result = {}
+    for key, parts in terms.items():
+        powers: dict[int, int] = {}
         for (qa, lb), n in parts.items():
             if n:
-                c = c + q_power(qa) * lam_power(lb) * n
+                for p, m in lam_power(lb).terms:
+                    powers[qa + p] = powers.get(qa + p, 0) + n * m
+        c = LaurentScalar(powers)
         if c:
             result[key] = c
     return result
 
 
-def _key_to_word(key: MonoKey, loc: Coord | None):
-    word = []
-    for i, j, e in key:
-        if e >= 0:
-            word.extend([(i, j, 1)] * e)
-        else:
-            if (i, j) != loc:
-                raise ValueError(f"negative exponent at non-localized {(i, j)}")
-            word.extend([(i, j, -1)] * (-e))
-    return tuple(word)
+def straighten_word(rs: Coord, loc: Coord | None, word):
+    """Lexicographic expression of a generator word.
+
+    rs: threshold coordinate of the algebra; loc: localized coordinate (not
+    before rs) or None; word: iterable of (i, j, +-1) letters with i, j >= 1
+    and e = -1 only at loc.  Returns {key: LaurentScalar}.
+    """
+    if loc is not None and loc < rs:
+        raise ValueError(f"localized coordinate {loc} precedes the threshold {rs}")
+    word = tuple(word)
+    for i, j, e in word:
+        if i < 1 or j < 1:
+            raise ValueError(f"letter {(i, j, e)}: coordinates must be at least 1")
+        if e not in (1, -1):
+            raise ValueError(f"letter {(i, j, e)}: exponent must be 1 or -1")
+        if e < 0 and (i, j) != loc:
+            raise ValueError(f"letter {(i, j, e)}: inverted outside localization {loc}")
+    return _scalars(_fold(rs, {EMPTY_KEY: {(0, 0): 1}}, word))
 
 
 @lru_cache(maxsize=1 << 16)
 def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
     """Cached normal form of x^a x^b, as a tuple of (key, scalar)."""
-    word = _key_to_word(a, loc) + _key_to_word(b, loc)
-    return tuple(sorted(straighten_word(rs, loc, word).items()))
+    letters = [(i, j, 1 if e > 0 else -1) for i, j, e in b for _ in range(abs(e))]
+    return tuple(sorted(_scalars(_fold(rs, {a: {(0, 0): 1}}, letters)).items()))
 
 
 # ---------------------------------------------------------------------------

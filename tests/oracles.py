@@ -5,13 +5,15 @@ torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
 quantum minor, divisibility through a dense lookup, a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
-it is taken, and the derivation maps through a table of all mn generator
-images.  None of it shares code with the library paths it validates.
+it is taken, the derivation maps through a table of all mn generator
+images, and straightening as a walk of the word rewrite tree that swaps one
+adjacent descent at a time.  None of it shares code with the library paths
+it validates.
 """
 
 from itertools import permutations
 
-from qmpaths.coeff import ONE, q_power
+from qmpaths.coeff import ONE, ZERO, lam_power, q_power
 from qmpaths.straighten import QmPoly
 from qmpaths.torus import TorusElement, mono_key, pair_commutation
 
@@ -159,3 +161,107 @@ def oracle_derivation(a, t, rs, sign):
                 prod = prod * factor
         total = total + prod.scale(coeff)
     return total
+
+
+_MAX_REWRITES = 10**8
+
+
+def _find_descent_rightmost(w):
+    for k in range(len(w) - 2, -1, -1):
+        if (w[k][0], w[k][1]) > (w[k + 1][0], w[k + 1][1]):
+            return k
+    return -1
+
+
+def random_descent_picker(rng):
+    """A `pick` strategy for `oracle_straighten_word` that rewrites a
+    uniformly random descent."""
+    def pick(word):
+        descents = [
+            k
+            for k in range(len(word) - 1)
+            if (word[k][0], word[k][1]) > (word[k + 1][0], word[k + 1][1])
+        ]
+        return rng.choice(descents) if descents else -1
+
+    return pick
+
+
+def oracle_straighten_word(rs, loc, word, pick=None):
+    """Lexicographic expression of a generator word by walking its rewrite
+    tree: each stack entry is one word, and one adjacent descent of it is
+    swapped at a time (the rightmost, or the one `pick(word)` names), at the
+    cost of a power of q and possibly a correction word.  Identical words on
+    different branches are never merged.  Returns {key: LaurentScalar}.
+    """
+    # coefficients along a rewrite branch stay of the form
+    # sign * q^a * (q - q^{-1})^b, tracked as an int triple
+    out = {}
+    stack = [(1, 0, 0, tuple(word))]
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > _MAX_REWRITES:
+            raise RuntimeError("straightening did not terminate (bug)")
+        sg, qa, lb, w = stack.pop()
+        idx = _find_descent_rightmost(w) if pick is None else pick(w)
+        if idx < 0:
+            key = mono_key(w)
+            if loc is None and any(e < 0 for _, _, e in key):
+                raise AssertionError("negative exponent outside localization")
+            acc = out.setdefault(key, {})
+            acc[(qa, lb)] = acc.get((qa, lb), 0) + sg
+            continue
+        u, v = w[idx], w[idx + 1]
+        swapped = w[:idx] + (v, u) + w[idx + 2 :]
+        c1 = (u[0], u[1])
+        c2 = (v[0], v[1])
+        if u[2] == 1 and v[2] == 1:
+            if c1[0] == c2[0] or c1[1] == c2[1]:
+                stack.append((sg, qa - 1, lb, swapped))
+            elif c1[1] < c2[1]:
+                # southwest past northeast: they commute
+                stack.append((sg, qa, lb, swapped))
+            else:
+                # c2 northwest of c1 (the quantum-plane diagonal pair)
+                stack.append((sg, qa, lb, swapped))
+                if c1 <= rs:
+                    corr = (
+                        w[:idx]
+                        + ((c2[0], c1[1], 1), (c1[0], c2[1], 1))
+                        + w[idx + 2 :]
+                    )
+                    stack.append((-sg, qa, lb + 1, corr))
+        elif u[2] == -1:
+            # u is the inverted letter; c1 == loc > c2
+            if c1[0] == c2[0] or c1[1] == c2[1]:
+                stack.append((sg, qa + 1, lb, swapped))
+            elif c2[1] > c1[1]:
+                stack.append((sg, qa, lb, swapped))
+            else:
+                # c2 northwest of loc
+                stack.append((sg, qa, lb, swapped))
+                if c1 == rs:
+                    r, s = c1
+                    corr = (
+                        w[:idx]
+                        + ((c2[0], s, 1), (r, c2[1], 1), (r, s, -1), (r, s, -1))
+                        + w[idx + 2 :]
+                    )
+                    stack.append((sg, qa + 2, lb + 1, corr))
+        else:
+            # v is the inverted letter; every c1 > loc q*-commutes with it
+            if c1[0] == c2[0] or c1[1] == c2[1]:
+                stack.append((sg, qa + 1, lb, swapped))
+            else:
+                stack.append((sg, qa, lb, swapped))
+
+    result = {}
+    for key, parts in out.items():
+        c = ZERO
+        for (qa, lb), n in parts.items():
+            if n:
+                c = c + q_power(qa) * lam_power(lb) * n
+        if c:
+            result[key] = c
+    return result

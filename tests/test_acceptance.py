@@ -27,7 +27,12 @@ from qmpaths.minors import HPrimeHandle, MinorSpec, lindstrom_eval, minor_poly, 
 from qmpaths.groebner import groebner_check, hprime_minors, minimal_groebner, minimal_groebner_basis
 from qmpaths.verify import run_ddalg, run_groebner, run_lindstrom, run_relations
 
-from oracles import oracle_all_cauchon_sets, oracle_monomial_mul
+from oracles import (
+    oracle_all_cauchon_sets,
+    oracle_monomial_mul,
+    oracle_straighten_word,
+    random_descent_picker,
+)
 
 R, C, W = row_vertex, col_vertex, white_vertex
 
@@ -239,18 +244,8 @@ def test_c6_bedrock():
                 ok = False
                 break
 
-    # confluence under randomized rewrite strategies
-    def random_picker(r):
-        def pick(word):
-            descents = [
-                k
-                for k in range(len(word) - 1)
-                if (word[k][0], word[k][1]) > (word[k + 1][0], word[k + 1][1])
-            ]
-            return r.choice(descents) if descents else -1
-
-        return pick
-
+    # the rewrite-tree oracle under randomized strategies agrees with the
+    # key-scan straightening
     shape = Shape(3, 3)
     cs = list(shape.coords())
     for trial in range(40):
@@ -259,7 +254,8 @@ def test_c6_bedrock():
         word = tuple((*rng.choice(cs), 1) for _ in range(rng.randint(2, 6)))
         ref = straighten_word(rs, None, word)
         for _s in range(10):
-            if straighten_word(rs, None, word, pick=random_picker(rng)) != ref:
+            pick = random_descent_picker(rng)
+            if oracle_straighten_word(rs, None, word, pick=pick) != ref:
                 ok = False
                 break
 

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qmpaths
 from qmpaths.cli import main
 
 
@@ -243,10 +245,13 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv):
 
 
 def test_module_entry_point():
+    # run from the directory that holds the imported package, so `-m` finds
+    # it with or without PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "qmpaths", "diagrams", "2", "2", "--count-only"],
         capture_output=True,
         text=True,
+        cwd=Path(qmpaths.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"

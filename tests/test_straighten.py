@@ -7,6 +7,7 @@ from qmpaths.coeff import LAM, ONE, q_power
 from qmpaths.torus import Shape, mono_key
 from qmpaths.straighten import (
     QmPoly,
+    _term_mul,
     count_terms_in_grade,
     grade,
     leading_term,
@@ -19,7 +20,12 @@ from qmpaths.straighten import (
 from qmpaths.cauchon import Diagram
 from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly, sigma
 
-from oracles import oracle_term_divides
+from oracles import (
+    expand_key,
+    oracle_straighten_word,
+    oracle_term_divides,
+    random_descent_picker,
+)
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -181,20 +187,6 @@ def test_homogeneity_of_products():
             assert grade(shape, key) == want
 
 
-def _random_descent_picker(rng):
-    def pick(word):
-        descents = [
-            k
-            for k in range(len(word) - 1)
-            if (word[k][0], word[k][1]) > (word[k + 1][0], word[k + 1][1])
-        ]
-        if not descents:
-            return -1
-        return rng.choice(descents)
-
-    return pick
-
-
 def test_confluence_under_randomized_strategies():
     rng = random.Random(7)
     shape = Shape(3, 3)
@@ -207,7 +199,8 @@ def test_confluence_under_randomized_strategies():
         )
         reference = straighten_word(rs, None, word)
         for _ in range(10):
-            assert straighten_word(rs, None, word, pick=_random_descent_picker(rng)) == reference
+            pick = random_descent_picker(rng)
+            assert oracle_straighten_word(rs, None, word, pick=pick) == reference
 
 
 def test_confluence_localized():
@@ -225,7 +218,8 @@ def test_confluence_localized():
         word = tuple(word)
         reference = straighten_word(rs, rs, word)
         for _ in range(10):
-            assert straighten_word(rs, rs, word, pick=_random_descent_picker(rng)) == reference
+            pick = random_descent_picker(rng)
+            assert oracle_straighten_word(rs, rs, word, pick=pick) == reference
 
 
 def test_embedding_consistency_generators():
@@ -308,3 +302,91 @@ def test_json_roundtrip(shape23):
         {E((1, 1), (2, 2)): ONE, E((1, 2), (2, 1)): -LAM},
     )
     assert QmPoly.from_json(p.to_json()) == p
+
+
+def _oracle_cases(shape, rng, pairs_per_algebra=10, corrections_per_algebra=3):
+    """Seeded (rs, loc, a, b) key pairs for every threshold of the shape,
+    plain and localized at every coordinate at or after rs.  Besides random
+    keys with exponents up to 3, each algebra gets pairs built to correct:
+    z^e (e <= 3) at z <= rs against a letter northwest of z, and, localized
+    at rs, rs^-k (k <= 3) against a letter northwest of rs."""
+    coords = list(shape.coords())
+
+    def extras(loc, count):
+        items = [(*rng.choice(coords), rng.randint(1, 3)) for _ in range(count)]
+        if loc is not None and rng.random() < 0.5:
+            items.append((*loc, rng.choice([-3, -2, -1, 1, 2])))
+        return items
+
+    for t in range(1, shape.mn + 1):
+        rs = shape.threshold_coord(t)
+        corners = [c for c in coords if c <= rs and c[0] > 1 and c[1] > 1]
+        for loc in [None] + [c for c in coords if c >= rs]:
+            for _ in range(pairs_per_algebra):
+                a = mono_key(extras(loc, rng.randint(0, 2)))
+                b = mono_key(extras(loc, rng.randint(0, 2)))
+                yield rs, loc, a, b
+            for _ in range(corrections_per_algebra if corners else 0):
+                z = rng.choice(corners)
+                y = (rng.randint(1, z[0] - 1), rng.randint(1, z[1] - 1), 1)
+                a = mono_key(extras(loc, 1) + [(*z, rng.randint(1, 3))])
+                yield rs, loc, a, mono_key([y] + extras(None, rng.randint(0, 1)))
+            inverted = loc == rs and rs[0] > 1 and rs[1] > 1
+            for _ in range(corrections_per_algebra if inverted else 0):
+                y = (rng.randint(1, rs[0] - 1), rng.randint(1, rs[1] - 1), 1)
+                a = mono_key(extras(None, rng.randint(0, 1)) + [(*rs, -rng.randint(1, 3))])
+                yield rs, loc, a, mono_key([y, *extras(None, rng.randint(0, 1))])
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_term_mul_and_straighten_word_equal_rewrite_tree_oracle(m, n):
+    rng = random.Random(100 * m + n)
+    shape = Shape(m, n)
+    corrected = inverted_corrected = 0
+    for rs, loc, a, b in _oracle_cases(shape, rng):
+        word = expand_key(a) + expand_key(b)
+        want = oracle_straighten_word(rs, loc, word)
+        assert dict(_term_mul(rs, loc, a, b)) == want, (rs, loc, a, b)
+        assert straighten_word(rs, loc, word) == want, (rs, loc, word)
+        if len(want) > 1:
+            corrected += 1
+            inverted_corrected += any(e < 0 for _, _, e in a)
+    # the per-copy correction loop ran, also for the inverted letter
+    assert corrected > 0
+    assert inverted_corrected > 0
+
+
+def test_stress_word_equals_rewrite_tree_oracle():
+    # (x33 x22 x11)^4 at 3x3, t = 9: the roadmap's stress word, one power down
+    word = ((3, 3, 1), (2, 2, 1), (1, 1, 1)) * 4
+    got = straighten_word((3, 3), None, word)
+    assert got == oracle_straighten_word((3, 3), None, word)
+    assert len(got) > 1
+
+
+@pytest.mark.parametrize(
+    "loc,word",
+    [
+        pytest.param((2, 2), [(0, 1, 1)], id="row-0"),
+        pytest.param((2, 2), [(1, 0, 1)], id="column-0"),
+        pytest.param((2, 2), [(2, 2, 2), (1, 1, 1)], id="exponent-2"),
+        pytest.param((2, 2), [(2, 2, 0)], id="exponent-0"),
+        pytest.param(None, [(2, 2, -1), (1, 1, 1)], id="inverted-unlocalized"),
+        pytest.param((2, 2), [(1, 2, -1)], id="inverted-off-loc"),
+        pytest.param((1, 2), [(1, 1, 1)], id="loc-before-rs"),
+    ],
+)
+def test_straighten_word_rejects_bad_letters(loc, word):
+    with pytest.raises(ValueError) as info:
+        straighten_word((2, 2), loc, word)
+    assert "\n" not in str(info.value)
+
+
+def test_straighten_word_split_word_keeps_its_correction():
+    # the exponent-2 letter is rejected; spelled as two letters it keeps the
+    # (q^-3 - q) x12 x21 x22 correction term
+    got = straighten_word((2, 2), None, [(2, 2, 1), (2, 2, 1), (1, 1, 1)])
+    assert got == {
+        E((1, 1), (2, 2), (2, 2)): ONE,
+        E((1, 2), (2, 1), (2, 2)): q_power(-3) - q_power(1),
+    }
