@@ -373,7 +373,8 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
 
 class _Family(tuple):
     """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
-    `vertex_sets` and the generator path sum as `generator`."""
+    `vertex_sets`, and their weight sum both as `weights`, {(key, q-exponent):
+    number of paths}, and as the TorusElement `generator`."""
 
 
 def _row_column_paths(g: CauchonGraph, i: int, j: int) -> tuple:
@@ -406,11 +407,14 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
     if fam is None:
         members = [r for r in _row_column_paths(g, i, j) if r[4] <= rs]
         # every path weight is +q^c t^N, so no sum of them cancels to zero
+        weights: dict = {}
         acc: dict = {}
         for _path, _vset, qexp, mono, _bound in members:
+            weights[mono, qexp] = weights.get((mono, qexp), 0) + 1
             acc[mono] = acc.get(mono, ZERO) + q_power(qexp)
         fam = g._gamma_cache[(rs, i, j)] = _Family(r[0] for r in members)
         fam.vertex_sets = tuple(r[1] for r in members)
+        fam.weights = weights
         fam.generator = TorusElement._raw(g.shape, acc)
     return fam
 

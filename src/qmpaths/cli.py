@@ -214,7 +214,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_m, max_n = args.max
+    if args.max is not None and args.diagram is not None:
+        raise UsageError("verify: --max and --diagram exclude each other")
+    max_m, max_n = args.max or (3, 3)
     if max_m < 2 or max_n < 2:
         raise UsageError(f"--max {max_m} {max_n}: both bounds must be at least 2")
     if args.suite in ("relations", "lindstrom"):
@@ -339,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["relations", "lindstrom", "ddalg",
                                      "groebner", "all"])
-    p.add_argument("--max", nargs=2, type=int, default=[3, 3],
-                   metavar=("M", "N"))
+    p.add_argument("--max", nargs=2, type=int, default=None,
+                   metavar=("M", "N"), help="largest shape swept; default 3 3")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--diagram", help="restrict groebner suite to one diagram")

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 
 def _norm_coeff(c):
-    """Coerce to an exact rational, preferring plain int."""
-    if isinstance(c, int):
+    """Coerce to an exact rational, preferring plain int; bool is refused."""
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
@@ -153,10 +153,10 @@ class LaurentScalar:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentScalar.from_int(other)
         if not isinstance(other, LaurentScalar):
-            return NotImplemented
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._t == other._t
 
     def __hash__(self):
@@ -206,7 +206,7 @@ class LaurentScalar:
 def _coerce(x):
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return LaurentScalar.from_int(x)
     return NotImplemented
 

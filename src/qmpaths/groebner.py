@@ -201,7 +201,8 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
             (i, j, eo - key_entry(e.lt_key, (i, j)))
             for i, j, eo in lt_key
         )
-        prod = e.poly * QmPoly.monomial(a.shape, a.threshold, cof)
+        # x^cof comes from checked keys: built in a's algebra unvalidated
+        prod = e.poly * a._like({cof: ONE})
         pk, pc = prod.leading_term()
         if pk != lt_key:
             raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
@@ -219,9 +220,7 @@ def apply_trace(basis: GroebnerBasis, trace) -> QmPoly:
     total = QmPoly.zero(shape, th)
     for step in trace:
         e = basis.elements[step.index]
-        total = total + (
-            e.poly * QmPoly.monomial(shape, th, step.cofactor)
-        ).scale(step.scale)
+        total = total + (e.poly * total._like({step.cofactor: ONE})).scale(step.scale)
     return total
 
 
@@ -270,7 +269,7 @@ def _random_right_combination(handle, basis, rng):
         e = rng.choice(basis.elements)
         key = _random_monomial_key(rng, shape, 2)
         coeff = rng.choice(_COEFF_POOL)
-        total = total + (e.poly * QmPoly.monomial(shape, t, key)).scale(coeff)
+        total = total + (e.poly * total._like({key: ONE})).scale(coeff)
     return total
 
 

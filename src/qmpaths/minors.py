@@ -2,10 +2,13 @@
 
 A diagram B and threshold t determine the evaluation homomorphism sending
 each generator x_{i,j} to its path sum in the quantum torus; its kernel is
-the torus-invariant prime attached to B at level t.  Minors whose maximum
-coordinate is at most the threshold coordinate evaluate by the q-analogue of
-the Lindstrom/Gessel-Viennot rule: a sum of weights over vertex-disjoint
-path systems, which vanishes exactly when the family is empty.
+the torus-invariant prime attached to B at level t.  Each path sum is a
+sum of monomials q^c t^N with integer multiplicities, so evaluation works on
+(N, c) keys with integer coefficients and builds one torus element at the
+end.  Minors whose maximum coordinate is at most the threshold coordinate
+evaluate by the q-analogue of the Lindstrom/Gessel-Viennot rule: a sum of
+weights over vertex-disjoint path systems, which vanishes exactly when the
+family is empty.
 
 The deleting/adding derivation maps connect the algebras at neighbouring
 thresholds after inverting the threshold generator:
@@ -23,13 +26,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .coeff import ONE, q_power
-from .torus import Coord, Shape, TorusElement, key_entry, mono_key
+from .torus import (
+    EMPTY_KEY, Coord, Shape, TorusElement, key_entry, mono_key, monomial_mul,
+)
 from .straighten import QmPoly, Threshold
 from .cauchon import (
     Diagram,
     build_graph,
+    enumerate_gamma,
     enumerate_vdps,
-    generator,
     system_weight,
     vdps_exists,
 )
@@ -180,25 +185,21 @@ class HPrimeHandle:
         return f"HPrimeHandle({self.diagram.to_inline()!r}, t={self.t})"
 
 
-def _substitute(a: QmPoly, image, one):
-    """Sum of coeff * image(i, j, sign(e))^|e| multiplied left to right over
-    each term's letters in lexicographic order, starting from the first
-    factor; `one` is the target's unit (the product of no letters)."""
-    total = one.scale(0)
-    for key, coeff in a.terms.items():
-        prod = None
-        for i, j, e in key:
-            factor = image(i, j, 1 if e > 0 else -1)
-            for _ in range(abs(e)):
-                prod = factor if prod is None else prod * factor
-        total = total + (one if prod is None else prod).scale(coeff)
-    return total
+def _monomial_product(left: dict, right: dict) -> dict:
+    """Product of two sums of n q^c t^N, each given as {(N, c): n}."""
+    out: dict = {}
+    for (k1, q1), n1 in left.items():
+        for (k2, q2), n2 in right.items():
+            c, k = monomial_mul(k1, k2)
+            out[k, q1 + q2 + c] = out.get((k, q1 + q2 + c), 0) + n1 * n2
+    return out
 
 
 def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     """Evaluate a polynomial by substituting path sums for generators.
 
-    Monomials are evaluated left-to-right in lexicographic generator order.
+    Monomials are evaluated left-to-right in lexicographic generator order,
+    on the path sums' `weights`, into one TorusElement at the end.
     Localized input is accepted when the localized coordinate is white, so
     that its image is an invertible monomial.
     """
@@ -211,10 +212,23 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     def image(i, j, e):
         if e < 0 and handle.diagram.is_black((i, j)):
             raise ValueError("cannot invert the image of a black coordinate")
-        base = generator(graph, t, i, j)  # cached on the graph: never mutated
-        return base if e > 0 else base.inverse()
+        fam = enumerate_gamma(graph, t, i, j)  # cached on the graph: never mutated
+        if e > 0:
+            return fam.weights
+        inverse = fam.generator.inverse().terms  # a monomial: white at loc
+        return {(k, p): n for k, c in inverse.items() for p, n in c.terms}
 
-    return _substitute(a, image, TorusElement.one(handle.shape))
+    acc: dict = {}
+    for key, coeff in a.terms.items():
+        prod = None
+        for i, j, e in key:
+            factor = image(i, j, 1 if e > 0 else -1)
+            for _ in range(abs(e)):
+                prod = factor if prod is None else _monomial_product(prod, factor)
+        for (k, c), n in ({(EMPTY_KEY, 0): 1} if prod is None else prod).items():
+            for p, m in coeff.terms:
+                acc[k, c + p] = acc.get((k, c + p), 0) + n * m
+    return TorusElement._from_counts(handle.shape, acc)
 
 
 def kernel_member(handle: HPrimeHandle, a: QmPoly) -> bool:
@@ -286,7 +300,16 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
             terms.append((mono_key([(i, s, 1), (r, j, 1), (r, s, -1)]), corr))
         return QmPoly(shape, th, terms, loc=rs)
 
-    return _substitute(a, image, one)
+    # each term's letters multiply left to right from the first factor
+    total = one.scale(0)
+    for key, coeff in a.terms.items():
+        prod = None
+        for i, j, e in key:
+            factor = image(i, j, 1 if e > 0 else -1)
+            for _ in range(abs(e)):
+                prod = factor if prod is None else prod * factor
+        total = total + (one if prod is None else prod).scale(coeff)
+    return total
 
 
 def dd_forward(a: QmPoly) -> QmPoly:

@@ -14,10 +14,11 @@ Elements are kept in lexicographic expression: a finite map from nonnegative
 exponent matrices N to scalars, standing for the ordered monomials x^N.
 Multiplication works on these exponent keys: a key times one generator is
 straightened in a single scan of the key from its largest coordinate down,
-each block of equal letters handled in one step, and a product of two
-monomials folds that scan over the letters of the second.  A single
-coordinate may be localized (inverted); its exponent is then allowed to go
-negative.
+each block of equal letters handled in one step.  A product of polynomials
+folds that scan over the letters of each right-hand key, for all left terms
+at once; coefficients stay integers (or Fractions) until one scalar is built
+per result key.  A single coordinate may be localized (inverted); its
+exponent is then allowed to go negative.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import ONE, ZERO, LaurentScalar, lam_power
+from .coeff import ONE, LaurentScalar, _norm_coeff, lam_power
 from .torus import (
     Coord,
     EMPTY_KEY,
@@ -269,9 +270,9 @@ def _scalars(terms: dict) -> dict[MonoKey, LaurentScalar]:
             if n:
                 for p, m in lam_power(lb).terms:
                     powers[qa + p] = powers.get(qa + p, 0) + n * m
-        c = LaurentScalar(powers)
+        c = tuple(sorted((p, _norm_coeff(n)) for p, n in powers.items() if n))
         if c:
-            result[key] = c
+            result[key] = LaurentScalar._raw(c)
     return result
 
 
@@ -297,7 +298,7 @@ def straighten_word(rs: Coord, loc: Coord | None, word):
 
 @lru_cache(maxsize=1 << 16)
 def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
-    """Cached normal form of x^a x^b, as a tuple of (key, scalar)."""
+    """Cached x^a x^b as (key, scalar) pairs, for the tests and layer tracer."""
     letters = [(i, j, 1 if e > 0 else -1) for i, j, e in b for _ in range(abs(e))]
     return tuple(sorted(_scalars(_fold(rs, {a: {(0, 0): 1}}, letters)).items()))
 
@@ -384,17 +385,18 @@ class QmPoly(TermSum):
     def __mul__(self, other):
         self._check_mate(other)
         rs = self.threshold.rs
-        acc: dict[MonoKey, LaurentScalar] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                c12 = c1 * c2
-                for key, c in _term_mul(rs, self.loc, k1, k2):
-                    s = acc.get(key, ZERO) + c12 * c
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
-        return self._like(acc)
+        left = {k: {(p, 0): n for p, n in c.terms} for k, c in self._terms.items()}
+        acc: dict = {}
+        for k2, c2 in other._terms.items():
+            letters = [
+                (i, j, 1 if e > 0 else -1) for i, j, e in k2 for _ in range(abs(e))
+            ]
+            for key, parts in _fold(rs, left, letters).items():
+                out = acc.setdefault(key, {})
+                for (qa, lb), n in parts.items():
+                    for p, m in c2.terms:
+                        out[qa + p, lb] = out.get((qa + p, lb), 0) + n * m
+        return self._like(_scalars(acc))
 
     # -- order structure ------------------------------------------------------------
 

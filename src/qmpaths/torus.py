@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff import ONE, ZERO, LaurentScalar, q_power
+from .coeff import ONE, ZERO, LaurentScalar, _norm_coeff, q_power
 
 Coord = tuple[int, int]
 MonoKey = tuple[tuple[int, int, int], ...]
@@ -309,6 +309,16 @@ class TorusElement(TermSum):
         self.shape = shape
         self._terms = terms
         return self
+
+    @classmethod
+    def _from_counts(cls, shape, counts: dict) -> "TorusElement":
+        """The sum of n q^c t^N over {(N, c): n}, zero n dropped."""
+        powers: dict = {}
+        for (key, qexp), n in counts.items():
+            if n:
+                powers.setdefault(key, []).append((qexp, _norm_coeff(n)))
+        scalars = {k: LaurentScalar._raw(tuple(sorted(p))) for k, p in powers.items()}
+        return cls._raw(shape, scalars)
 
     @classmethod
     def zero(cls, shape: Shape) -> "TorusElement":

@@ -6,14 +6,19 @@ from-scratch statement of the diagram condition, the permutation sum of a
 quantum minor, divisibility through a dense lookup, a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
 it is taken, the derivation maps through a table of all mn generator
-images, and straightening as a walk of the word rewrite tree that swaps one
-adjacent descent at a time.  None of it shares code with the library paths
-it validates.
+images, straightening as a walk of the word rewrite tree that swaps one
+adjacent descent at a time, the polynomial product as that walk per pair of
+terms, and the path evaluation as a product of TorusElements per term.
+Apart from the TorusElement product that last one uses (itself checked
+against the transposition oracle), none of it shares code with the library
+paths it validates.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
-from qmpaths.coeff import ONE, ZERO, lam_power, q_power
+from qmpaths.cauchon import generator
+from qmpaths.coeff import ONE, ZERO, LaurentScalar, lam_power, q_power
 from qmpaths.straighten import QmPoly
 from qmpaths.torus import TorusElement, mono_key, pair_commutation
 
@@ -173,6 +178,16 @@ def _find_descent_rightmost(w):
     return -1
 
 
+def random_coeff(rng):
+    """A seeded scalar of one or two powers of q with small Fraction
+    coefficients."""
+    return LaurentScalar(
+        (rng.randint(-2, 2),
+         Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 2))
+    )
+
+
 def random_descent_picker(rng):
     """A `pick` strategy for `oracle_straighten_word` that rewrites a
     uniformly random descent."""
@@ -265,3 +280,34 @@ def oracle_straighten_word(rs, loc, word, pick=None):
         if c:
             result[key] = c
     return result
+
+
+def oracle_qmpoly_mul(a, b):
+    """a * b as the sum over every pair of terms of c1 c2 times the rewrite
+    tree walk of the word x^k1 x^k2."""
+    rs, loc = a.threshold.rs, a.loc
+    total = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            word = expand_key(k1) + expand_key(k2)
+            for key, c in oracle_straighten_word(rs, loc, word).items():
+                total[key] = total.get(key, ZERO) + c1 * c2 * c
+    return QmPoly(a.shape, a.threshold, total, loc=loc)
+
+
+def oracle_sigma(handle, a):
+    """sigma by TorusElement products: each term's path-sum images (the
+    monomial inverse for an inverted letter) multiplied left to right over
+    its letters in lexicographic order from the first factor, scaled by the
+    coefficient and summed."""
+    one = TorusElement.one(handle.shape)
+    total = TorusElement.zero(handle.shape)
+    for key, coeff in a.terms.items():
+        prod = None
+        for i, j, e in key:
+            base = generator(handle.graph, handle.t, i, j)
+            factor = base if e > 0 else base.inverse()
+            for _ in range(abs(e)):
+                prod = factor if prod is None else prod * factor
+        total = total + (one if prod is None else prod).scale(coeff)
+    return total

@@ -229,12 +229,15 @@ def test_usage_error_exit_code(capsys):
         ["graph", "2", "2", "--diagram", "../..", "-o", "/nonexistent/dir/x.dot"],
         ["verify", "relations", "--max", "2", "2", "--seed", "-5"],
         ["verify", "lindstrom", "--max", "2", "2", "--samples", "6"],
+        ["verify", "groebner", "--diagram", "../..", "--max", "9", "9",
+         "--samples", "2"],
     ],
     ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
          "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file",
          "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
          "groebner-t-without-diagram", "minor-index-0", "minor-index-negative",
-         "graph-unwritable-output", "relations-seed", "lindstrom-samples"],
+         "graph-unwritable-output", "relations-seed", "lindstrom-samples",
+         "groebner-diagram-max"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

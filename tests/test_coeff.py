@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmpaths.coeff import LAM, ONE, Q, Q_INV, ZERO, LaurentScalar, lam_power, q_power
+from qmpaths.straighten import QmPoly
+from qmpaths.torus import Shape
 
 scalars = st.builds(
     LaurentScalar,
@@ -88,3 +90,24 @@ def test_lam_power():
 def test_float_rejected():
     with pytest.raises(TypeError):
         LaurentScalar({0: 0.5})
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: LaurentScalar({0: c}),
+    LaurentScalar.from_int,
+    lambda c: QmPoly(Shape(2, 2), 4, {(): c}),
+], ids=["scalar", "from-int", "qmpoly"])
+def test_bool_rejected(make):
+    # bool subclasses int; True would otherwise be stored and printed as is
+    for flag in (True, False):
+        with pytest.raises(TypeError) as info:
+            make(flag)
+        assert str(info.value) == "coefficient must be int or Fraction, got bool"
+
+
+def test_bool_is_not_a_scalar_operand():
+    with pytest.raises(TypeError):
+        ONE + True
+    with pytest.raises(TypeError):
+        Q * False
+    assert ONE != True and ZERO != False and ONE == 1

@@ -25,7 +25,13 @@ from qmpaths.minors import (
     sigma,
 )
 
-from oracles import oracle_derivation, oracle_inversions, oracle_minor_poly
+from oracles import (
+    oracle_derivation,
+    oracle_inversions,
+    oracle_minor_poly,
+    oracle_sigma,
+    random_coeff,
+)
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -448,6 +454,22 @@ def test_sigma_equals_torus_product_route(m, n):
             loc = None if d.is_black(h.rs) else h.rs
             a = _random_element(rng, sh, t, loc)
             assert sigma(h, a) == _sigma_by_torus_product(h, a)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sigma_equals_substitution_oracle(m, n):
+    # every Cauchon diagram and threshold, plain and, wherever rs is white,
+    # localized at rs
+    rng = random.Random(400 + 10 * m + n)
+    sh = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(sh):
+        top = HPrimeHandle(d, sh.mn)
+        for t in range(1, sh.mn + 1):
+            h = top.at(t)
+            for loc in (None,) if d.is_black(h.rs) else (None, h.rs):
+                keys = _random_element(rng, sh, t, loc).terms
+                a = QmPoly(sh, t, {k: random_coeff(rng) for k in keys}, loc=loc)
+                assert sigma(h, a) == oracle_sigma(h, a), (d, t, a)
 
 
 def test_zero_maps_to_zero_in_the_target_algebra(shape23):

@@ -22,8 +22,10 @@ from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly, sigma
 
 from oracles import (
     expand_key,
+    oracle_qmpoly_mul,
     oracle_straighten_word,
     oracle_term_divides,
+    random_coeff,
     random_descent_picker,
 )
 
@@ -390,3 +392,45 @@ def test_straighten_word_split_word_keeps_its_correction():
         E((1, 1), (2, 2), (2, 2)): ONE,
         E((1, 2), (2, 1), (2, 2)): q_power(-3) - q_power(1),
     }
+
+
+def _random_poly(rng, shape, t, loc):
+    """One to three terms of degree up to 3, with x_loc^(+-1) in about half
+    of them when localized."""
+    coords = list(shape.coords())
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        items = [(*rng.choice(coords), 1) for _ in range(rng.randint(0, 3))]
+        if loc is not None and rng.random() < 0.5:
+            items.append((*loc, rng.choice([-1, 1])))
+        terms.append((mono_key(items), random_coeff(rng)))
+    return QmPoly(shape, t, terms, loc=loc)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_qmpoly_mul_equals_per_pair_oracle(m, n):
+    rng = random.Random(300 + 10 * m + n)
+    shape = Shape(m, n)
+    cancelled = 0
+    for t in range(1, shape.mn + 1):
+        rs = shape.threshold_coord(t)
+        for loc in [None] + [c for c in shape.coords() if c >= rs]:
+            for _ in range(4):
+                a = _random_poly(rng, shape, t, loc)
+                b = _random_poly(rng, shape, t, loc)
+                assert a * b == oracle_qmpoly_mul(a, b), (t, loc, a, b)
+            # (x_z + lam x_(yi,zj)) (x_y + x_(zi,yj)) with y northwest of
+            # z <= rs: the correction of x_z x_y cancels the second pair
+            corners = [c for c in shape.coords()
+                       if c <= rs and c[0] > 1 and c[1] > 1]
+            if corners:
+                zi, zj = rng.choice(corners)
+                yi, yj = rng.randint(1, zi - 1), rng.randint(1, zj - 1)
+                c = random_coeff(rng)
+                a = QmPoly(shape, t, [(E((zi, zj)), c), (E((yi, zj)), c * LAM)], loc=loc)
+                b = QmPoly(shape, t, [(E((yi, yj)), ONE), (E((zi, yj)), ONE)], loc=loc)
+                got = a * b
+                assert got == oracle_qmpoly_mul(a, b), (t, loc, a, b)
+                assert E((yi, zj), (zi, yj)) not in got.terms
+                cancelled += 1
+    assert cancelled > 0
