@@ -22,8 +22,6 @@ from .cauchon import (
     generator,
     generator_matrix,
     is_cauchon,
-    path_l,
-    path_u,
     path_weight,
     row_vertex,
     vdps_infimum,

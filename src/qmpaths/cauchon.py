@@ -308,16 +308,14 @@ def path_turns(g: CauchonGraph, path) -> list:
     return turns
 
 
-def path_in_gamma(g: CauchonGraph, path, rs: Coord) -> bool:
-    """No reflected-L turn at a coordinate strictly greater than rs."""
-    return all(
-        kind != "mirror" or coord <= rs for coord, kind in path_turns(g, path)
-    )
-
-
 def enumerate_paths_between(g: CauchonGraph, src: Vertex, dst: Vertex):
     """All directed paths src -> dst, in lexicographic order of their vertex
-    sequences."""
+    sequences.
+
+    The order is load-bearing: of two paths with the same ends, the one
+    weakly above the other comes first, which `vdps_supremum` and
+    `vdps_infimum` rely on.
+    """
     paths = []
     stack = [(src,)]
     # out-neighbor lists are sorted, and a stack that pushes in
@@ -444,7 +442,9 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     column J[r], each path in the t-restricted family.
 
     Deterministic order: lexicographic in the per-index path enumeration
-    order.  Requires |I| == |J| >= 1.
+    order.  The order is load-bearing: the supremum of the family is the
+    first system and the infimum the last (see `vdps_supremum`).  Requires
+    |I| == |J| >= 1.
     """
     I = tuple(I)
     J = tuple(J)
@@ -521,90 +521,34 @@ def system_turn_key(g: CauchonGraph, system):
     return mono_key(items)
 
 
-# ---------------------------------------------------------------------------
-# upper / lower path combinations
-
-
-def _split_segments(p, q):
-    """Common vertices of p and q (in order) and the segments between them."""
-    qset = set(q)
-    common = [v for v in p if v in qset]
-    qcommon = [v for v in q if v in set(p)]
-    if common != qcommon:
-        raise ValueError("paths traverse their common vertices in different orders")
-    pi = {v: k for k, v in enumerate(p)}
-    qi = {v: k for k, v in enumerate(q)}
-    segs = []
-    for a, b in zip(common, common[1:]):
-        segs.append((p[pi[a] : pi[b] + 1], q[qi[a] : qi[b] + 1]))
-    return common, segs
-
-
-def _combine(g: CauchonGraph, p, q, upper: bool):
-    if p[0] != q[0] or p[-1] != q[-1]:
-        raise ValueError("paths must share their start and end vertices")
-    if p == q:
-        return p
-    out = [p[0]]
-    for pseg, qseg in _split_segments(p, q)[1]:
-        if pseg == qseg:
-            out.extend(pseg[1:])
-            continue
-        # distinct segments leave their start by perpendicular edges; the one
-        # leaving horizontally stays above the other
-        p_above = g.edge_dir(pseg[0], pseg[1]) == "h"
-        take = pseg if (p_above == upper) else qseg
-        out.extend(take[1:])
-    out = tuple(out)
-    if not g.is_path(out):
-        raise AssertionError("combined walk is not a path (bug)")
-    return out
-
-
-def path_u(g: CauchonGraph, p, q):
-    """Upper combination: between consecutive common vertices, follow
-    whichever path leaves by the horizontal edge."""
-    return _combine(g, p, q, upper=True)
-
-
-def path_l(g: CauchonGraph, p, q):
-    """Lower combination (vertical-first segments win)."""
-    return _combine(g, p, q, upper=False)
-
-
-def _vdps_envelope(g: CauchonGraph, t: int, I, J, upper: bool):
-    systems = enumerate_vdps(g, t, I, J)
-    if not systems:
-        raise ValueError("empty path family has no supremum or infimum")
-    combine = path_u if upper else path_l
-    best = systems[0]
-    for sys_ in systems[1:]:
-        best = tuple(combine(g, b, p) for b, p in zip(best, sys_))
-    # the envelope must be a member fixed point and vertex-disjoint
-    used = set()
-    for p in best:
-        pset = set(p)
-        if used & pset:
-            raise AssertionError("envelope system is not vertex-disjoint (bug)")
-        used |= pset
-    rs = g.shape.threshold_coord(t)
-    for p in best:
-        if not path_in_gamma(g, p, rs):
-            raise AssertionError("envelope left the restricted family (bug)")
-    for sys_ in systems:
-        for b, p in zip(best, sys_):
-            if combine(g, b, p) != b:
-                raise AssertionError("envelope is not a fixed point (bug)")
-    return best
-
-
 def vdps_supremum(g: CauchonGraph, t: int, I, J):
-    """The componentwise upper-envelope system of the family."""
-    return _vdps_envelope(g, t, I, J, upper=True)
+    """The system whose every path lies weakly above the same-index path of
+    every system in the family: the first system `enumerate_vdps` returns.
+
+    Two distinct paths with the same ends split at a white square (i, j):
+    a column vertex is a sink and a path only moves west or south, so
+    neither leaves by a column terminal edge there.  The upper one leaves
+    by its west edge to ('w', i, j'), the lower one by its south edge to
+    ('w', i', j) with i' > i, so the upper one sorts first.  Paths are
+    enumerated in lexicographic order of their vertex tuples, so a path
+    weakly above another comes first; systems are ordered lexicographically
+    by their per-index path positions, so the system above all others, the
+    supremum of the family (paper, section 3), is the first one.
+    """
+    return _vdps_end(g, t, I, J, 0)
 
 
 def vdps_infimum(g: CauchonGraph, t: int, I, J):
-    return _vdps_envelope(g, t, I, J, upper=False)
+    """The system below all others: by the argument of `vdps_supremum`
+    mirrored, the last system `enumerate_vdps` returns."""
+    return _vdps_end(g, t, I, J, -1)
+
+
+def _vdps_end(g: CauchonGraph, t: int, I, J, index: int):
+    systems = enumerate_vdps(g, t, I, J)
+    if not systems:
+        raise ValueError("empty path family has no supremum or infimum")
+    return systems[index]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class LaurentScalar:
             terms = terms.items()
         acc: dict[int, object] = {}
         for p, c in terms:
-            if not isinstance(p, int):
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError("powers of q must be integers")
             c = _norm_coeff(c)
             s = acc.get(p, 0) + c
@@ -220,7 +220,7 @@ ONE = _ONE
 
 def q_power(e: int) -> LaurentScalar:
     """The monomial q^e."""
-    if not isinstance(e, int):
+    if not isinstance(e, int) or isinstance(e, bool):
         raise TypeError("exponent must be an integer")
     return LaurentScalar._raw(((e, 1),))
 
@@ -236,7 +236,9 @@ _LAM_POWS = [ONE, LAM]
 
 
 def lam_power(e: int) -> LaurentScalar:
-    """(q - q^{-1})^e, cached."""
+    """(q - q^{-1})^e for e >= 0, cached."""
+    if e < 0:
+        raise ValueError(f"lam_power({e}): the exponent must be at least 0")
     while len(_LAM_POWS) <= e:
         _LAM_POWS.append(_LAM_POWS[-1] * LAM)
     return _LAM_POWS[e]

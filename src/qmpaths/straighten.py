@@ -83,10 +83,6 @@ def matrix_lex_compare(a: MonoKey, b: MonoKey):
     return 0, None
 
 
-def term_lt(a: MonoKey, b: MonoKey) -> bool:
-    return matrix_lex_compare(a, b)[0] < 0
-
-
 class _TermKey:
     """Sort adapter: max(keys, key=_TermKey) picks the leading term."""
 

@@ -23,6 +23,7 @@ from .cauchon import (
     enumerate_vdps,
     generator_matrix,
     generator,
+    system_turn_key,
 )
 from .minors import (
     HPrimeHandle,
@@ -153,8 +154,6 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     report = Report("lindstrom", {"max": [max_m, max_n]})
 
     def body(report):
-        from .cauchon import system_turn_key
-
         for shape in _shapes(max_m, max_n):
             specs = [
                 MinorSpec(I, J)

@@ -5,19 +5,21 @@ torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
 quantum minor, divisibility through a dense lookup, a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
-it is taken, the derivation maps through a table of all mn generator
-images, straightening as a walk of the word rewrite tree that swaps one
-adjacent descent at a time, the polynomial product as that walk per pair of
-terms, and the path evaluation as a product of TorusElements per term.
-Apart from the TorusElement product that last one uses (itself checked
-against the transposition oracle), none of it shares code with the library
-paths it validates.
+it is taken, the supremum and infimum of a path-system family as a fold of
+segment-by-segment path combinations over every system, the derivation
+maps through a table of all mn generator images, straightening as a walk
+of the word rewrite tree that swaps one adjacent descent at a time, the
+polynomial product as that walk per pair of terms, and the path evaluation
+as a product of TorusElements per term.  Apart from the TorusElement
+product that last one uses (itself checked against the transposition
+oracle) and the system enumeration the path-system fold runs over, none of
+it shares code with the library paths it validates.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from qmpaths.cauchon import generator
+from qmpaths.cauchon import enumerate_vdps, generator, path_turns
 from qmpaths.coeff import ONE, ZERO, LaurentScalar, lam_power, q_power
 from qmpaths.straighten import QmPoly
 from qmpaths.torus import TorusElement, mono_key, pair_commutation
@@ -140,6 +142,73 @@ def oracle_gamma(g, t, i, j):
                     continue
             stack.append(path + (w,))
     return tuple(paths)
+
+
+def oracle_path_in_gamma(g, path, rs):
+    """No reflected-L turn at a coordinate strictly greater than rs."""
+    return all(
+        kind != "mirror" or coord <= rs for coord, kind in path_turns(g, path)
+    )
+
+
+def _split_segments(p, q):
+    """Common vertices of p and q (in order) and the segments between them."""
+    qset = set(q)
+    common = [v for v in p if v in qset]
+    qcommon = [v for v in q if v in set(p)]
+    if common != qcommon:
+        raise ValueError("paths traverse their common vertices in different orders")
+    pi = {v: k for k, v in enumerate(p)}
+    qi = {v: k for k, v in enumerate(q)}
+    segs = []
+    for a, b in zip(common, common[1:]):
+        segs.append((p[pi[a] : pi[b] + 1], q[qi[a] : qi[b] + 1]))
+    return common, segs
+
+
+def _combine(g, p, q, upper):
+    if p[0] != q[0] or p[-1] != q[-1]:
+        raise ValueError("paths must share their start and end vertices")
+    if p == q:
+        return p
+    out = [p[0]]
+    for pseg, qseg in _split_segments(p, q)[1]:
+        if pseg == qseg:
+            out.extend(pseg[1:])
+            continue
+        # distinct segments leave their start by perpendicular edges; the one
+        # leaving horizontally stays above the other
+        p_above = g.edge_dir(pseg[0], pseg[1]) == "h"
+        take = pseg if (p_above == upper) else qseg
+        out.extend(take[1:])
+    out = tuple(out)
+    if not g.is_path(out):
+        raise AssertionError("combined walk is not a path (bug)")
+    return out
+
+
+def oracle_path_u(g, p, q):
+    """Upper combination: between consecutive common vertices, follow
+    whichever path leaves by the horizontal edge."""
+    return _combine(g, p, q, upper=True)
+
+
+def oracle_path_l(g, p, q):
+    """Lower combination (vertical-first segments win)."""
+    return _combine(g, p, q, upper=False)
+
+
+def oracle_vdps_envelope(g, t, I, J, upper):
+    """Supremum (upper) or infimum of the disjoint path-system family: the
+    componentwise upper or lower combination folded over every system."""
+    systems = enumerate_vdps(g, t, I, J)
+    if not systems:
+        raise ValueError("empty path family has no supremum or infimum")
+    combine = oracle_path_u if upper else oracle_path_l
+    best = systems[0]
+    for sys_ in systems[1:]:
+        best = tuple(combine(g, b, p) for b, p in zip(best, sys_))
+    return best
 
 
 def oracle_derivation(a, t, rs, sign):

@@ -18,10 +18,7 @@ from qmpaths.cauchon import (
     generator,
     generator_matrix,
     is_cauchon,
-    path_in_gamma,
-    path_l,
     path_turns,
-    path_u,
     path_weight,
     path_weight_by_edges,
     row_vertex,
@@ -33,7 +30,14 @@ from qmpaths.cauchon import (
     white_vertex,
 )
 
-from oracles import oracle_all_cauchon_sets, oracle_gamma
+from oracles import (
+    oracle_all_cauchon_sets,
+    oracle_gamma,
+    oracle_path_in_gamma,
+    oracle_path_l,
+    oracle_path_u,
+    oracle_vdps_envelope,
+)
 
 R, C, W = row_vertex, col_vertex, white_vertex
 GOLDEN = Path(__file__).parent / "golden"
@@ -352,12 +356,12 @@ def test_path_u_idempotent_commutative(grid_4x4_diagram):
     g = build_graph(grid_4x4_diagram)
     fam = enumerate_gamma(g, 16, 1, 1)
     for p in fam:
-        assert path_u(g, p, p) == p
-        assert path_l(g, p, p) == p
+        assert oracle_path_u(g, p, p) == p
+        assert oracle_path_l(g, p, p) == p
     for p in fam:
         for q in fam:
-            assert path_u(g, p, q) == path_u(g, q, p)
-            assert path_l(g, p, q) == path_l(g, q, p)
+            assert oracle_path_u(g, p, q) == oracle_path_u(g, q, p)
+            assert oracle_path_l(g, p, q) == oracle_path_l(g, q, p)
 
 
 def test_path_u_nested_case(shape22):
@@ -366,9 +370,9 @@ def test_path_u_nested_case(shape22):
     g = build_graph(Diagram.all_white(sh))
     p = (R(1), W(1, 3), W(1, 2), W(1, 1), W(2, 1), W(3, 1), C(1))
     q = (R(1), W(1, 3), W(2, 3), W(3, 3), W(3, 2), W(3, 1), C(1))
-    assert path_in_gamma(g, p, (3, 3)) and path_in_gamma(g, q, (3, 3))
-    assert path_u(g, p, q) == p
-    assert path_l(g, p, q) == q
+    assert oracle_path_in_gamma(g, p, (3, 3)) and oracle_path_in_gamma(g, q, (3, 3))
+    assert oracle_path_u(g, p, q) == p
+    assert oracle_path_l(g, p, q) == q
 
 
 def test_path_u_lattice_laws():
@@ -378,16 +382,18 @@ def test_path_u_lattice_laws():
         fam = enumerate_gamma(g, 9, i, j)
         for p in fam:
             for q in fam:
-                u = path_u(g, p, q)
-                l = path_l(g, p, q)
+                u = oracle_path_u(g, p, q)
+                l = oracle_path_l(g, p, q)
                 assert u in fam and l in fam
                 # absorption
-                assert path_u(g, p, l) == p
-                assert path_l(g, p, u) == p
+                assert oracle_path_u(g, p, l) == p
+                assert oracle_path_l(g, p, u) == p
         for p in fam:
             for q in fam:
                 for r in fam:
-                    assert path_u(g, path_u(g, p, q), r) == path_u(g, p, path_u(g, q, r))
+                    assert oracle_path_u(g, oracle_path_u(g, p, q), r) == (
+                        oracle_path_u(g, p, oracle_path_u(g, q, r))
+                    )
 
 
 def test_path_u_mismatched_endpoints(grid_4x4_diagram):
@@ -395,7 +401,7 @@ def test_path_u_mismatched_endpoints(grid_4x4_diagram):
     p = enumerate_gamma(g, 16, 1, 1)[0]
     q = enumerate_gamma(g, 16, 1, 2)[0]
     with pytest.raises(ValueError):
-        path_u(g, p, q)
+        oracle_path_u(g, p, q)
 
 
 def test_sup_inf_example(grid_4x4_diagram):
@@ -426,30 +432,46 @@ def test_u_preserves_disjointness():
         for t in (1, 6):
             for sys1 in enumerate_vdps(g, t, (1, 2), (1, 2)) if vdps_exists(g, t, (1, 2), (1, 2)) else ():
                 for sys2 in enumerate_vdps(g, t, (1, 2), (1, 2)):
-                    u1 = path_u(g, sys1[0], sys2[0])
-                    u2 = path_u(g, sys1[1], sys2[1])
+                    u1 = oracle_path_u(g, sys1[0], sys2[0])
+                    u2 = oracle_path_u(g, sys1[1], sys2[1])
                     assert not (set(u1) & set(u2))
 
 
+def _nonempty_families(m, n):
+    """(graph, t, I, J, systems) for every nonempty disjoint path-system
+    family of every Cauchon diagram on m x n at every threshold."""
+    sh = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(sh):
+        g = build_graph(d)
+        for t in range(1, sh.mn + 1):
+            for k in range(1, min(m, n) + 1):
+                for I in itertools.combinations(range(1, m + 1), k):
+                    for J in itertools.combinations(range(1, n + 1), k):
+                        systems = enumerate_vdps(g, t, I, J)
+                        if systems:
+                            yield g, t, I, J, systems
+
+
 def test_sup_inf_well_defined_everywhere():
-    # the envelope functions assert internally that the result stays a
-    # vertex-disjoint member of the restricted family and is a fixed point;
-    # sweep them over every nonempty family at desk scale
+    # the supremum and infimum are members of the family, and fixed points
+    # of the upper and lower combinations against every member
     for m, n in [(2, 2), (2, 3), (3, 3)]:
-        sh = Shape(m, n)
-        for d in enumerate_cauchon_diagrams(sh):
-            g = build_graph(d)
-            for t in (1, sh.mn):
-                for k in range(1, min(m, n) + 1):
-                    for I in itertools.combinations(range(1, m + 1), k):
-                        for J in itertools.combinations(range(1, n + 1), k):
-                            systems = enumerate_vdps(g, t, I, J)
-                            if not systems:
-                                continue
-                            sup = vdps_supremum(g, t, I, J)
-                            inf = vdps_infimum(g, t, I, J)
-                            assert sup in systems
-                            assert inf in systems
+        for g, t, I, J, systems in _nonempty_families(m, n):
+            sup = vdps_supremum(g, t, I, J)
+            inf = vdps_infimum(g, t, I, J)
+            assert sup in systems
+            assert inf in systems
+            for sys_ in systems:
+                for s, l, p in zip(sup, inf, sys_):
+                    assert oracle_path_u(g, s, p) == s
+                    assert oracle_path_l(g, l, p) == l
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+def test_sup_inf_equal_combination_oracle(m, n):
+    for g, t, I, J, _systems in _nonempty_families(m, n):
+        assert vdps_supremum(g, t, I, J) == oracle_vdps_envelope(g, t, I, J, True)
+        assert vdps_infimum(g, t, I, J) == oracle_vdps_envelope(g, t, I, J, False)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +522,7 @@ def _check_tail_switch_on(g, t):
                         # switched pair: q's head with p's tail and vice versa
                         qt, pt = _switch_at(p, q, v)
                         assert pt[-1] == C(j) and qt[-1] == C(l)
-                        assert path_in_gamma(g, pt, rs) and path_in_gamma(g, qt, rs)
+                        assert oracle_path_in_gamma(g, pt, rs) and oracle_path_in_gamma(g, qt, rs)
                         assert (pt, qt) not in seen
                         seen.add((pt, qt))
                         assert _weight(g, p) * _weight(g, q) == (
@@ -517,7 +539,7 @@ def _check_tail_switch_on(g, t):
                         assert v is not None
                         pt, qt = _switch_at(p, q, v)
                         assert pt[0] == R(i) and qt[0] == R(k)
-                        assert path_in_gamma(g, pt, rs) and path_in_gamma(g, qt, rs)
+                        assert oracle_path_in_gamma(g, pt, rs) and oracle_path_in_gamma(g, qt, rs)
                         assert (pt, qt) not in seen
                         seen.add((pt, qt))
                         assert _weight(g, p) * _weight(g, q) == (
@@ -537,7 +559,7 @@ def _check_tail_switch_on(g, t):
                             qi0, qi1 = q.index(u), q.index(v)
                             pt = p[: pi0] + q[qi0 : qi1 + 1] + p[pi1 + 1 :]
                             qt = q[: qi0] + p[pi0 : pi1 + 1] + q[qi1 + 1 :]
-                            assert path_in_gamma(g, pt, rs) and path_in_gamma(g, qt, rs)
+                            assert oracle_path_in_gamma(g, pt, rs) and oracle_path_in_gamma(g, qt, rs)
                             assert _weight(g, p) * _weight(g, q) == _weight(g, qt) * _weight(g, pt)
     # diagonal: i < k, j < l; disjoint pairs commute; when (k,l) is at most
     # the threshold coordinate the crossing pairs biject onto the
@@ -555,7 +577,7 @@ def _check_tail_switch_on(g, t):
                             v = _last_common(p, q)
                             pt, qt = _switch_at(p, q, v)
                             assert pt[-1] == C(l) and qt[-1] == C(j)
-                            assert path_in_gamma(g, pt, rs) and path_in_gamma(g, qt, rs)
+                            assert oracle_path_in_gamma(g, pt, rs) and oracle_path_in_gamma(g, qt, rs)
                             assert (pt, qt) not in switched
                             switched.add((pt, qt))
                             # the switched product carries the i -> l factor

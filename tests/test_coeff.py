@@ -87,6 +87,15 @@ def test_lam_power():
     assert lam_power(2) == LAM * LAM
 
 
+def test_lam_power_rejects_negative_exponents():
+    # a negative index would read a cached power from the end of the list
+    lam_power(3)
+    for e in (-1, -2):
+        with pytest.raises(ValueError) as info:
+            lam_power(e)
+        assert "\n" not in str(info.value)
+
+
 def test_float_rejected():
     with pytest.raises(TypeError):
         LaurentScalar({0: 0.5})
@@ -103,6 +112,18 @@ def test_bool_rejected(make):
         with pytest.raises(TypeError) as info:
             make(flag)
         assert str(info.value) == "coefficient must be int or Fraction, got bool"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda p: LaurentScalar([(p, 1)]), "powers of q must be integers"),
+    (q_power, "exponent must be an integer"),
+], ids=["scalar", "q-power"])
+def test_bool_rejected_as_power(make, message):
+    # True would otherwise be kept as the power and written to JSON as true
+    for flag in (True, False):
+        with pytest.raises(TypeError) as info:
+            make(flag)
+        assert str(info.value) == message
 
 
 def test_bool_is_not_a_scalar_operand():

@@ -15,7 +15,6 @@ from qmpaths.straighten import (
     straighten_word,
     swap_adjacent,
     term_divides,
-    term_lt,
 )
 from qmpaths.cauchon import Diagram
 from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly, sigma
@@ -91,7 +90,7 @@ def test_matrix_lex_examples():
     for a in coords:
         for b in coords:
             if a != b:
-                assert term_lt(E(a), E(b)) == (a > b)
+                assert (matrix_lex_compare(E(a), E(b))[0] < 0) == (a > b)
 
 
 def test_leading_term_examples(shape22):
@@ -173,7 +172,7 @@ def test_straightening_leading_structure():
         assert coeff.as_monomial() is not None  # q^alpha
         for other in prod.terms:
             if other != top:
-                assert term_lt(other, top)
+                assert matrix_lex_compare(other, top)[0] < 0
 
 
 def test_homogeneity_of_products():
