@@ -487,7 +487,20 @@ def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     rs = g.shape.threshold_coord(t)
     if (rs, I, J) in g._vdps_cache:
         return bool(g._vdps_cache[(rs, I, J)])
-    choices = [enumerate_gamma(g, t, i, j).vertex_sets for i, j in zip(I, J)]
+    return disjoint_pick_exists(
+        [enumerate_gamma(g, t, i, j).vertex_sets for i, j in zip(I, J)]
+    )
+
+
+def disjoint_pick_exists(choices) -> bool:
+    """Whether one vertex set can be picked from each of the nonempty list
+    of lists `choices` so that the picks are pairwise disjoint.
+
+    With choices[r] the vertex sets of gamma(t; I[r], J[r]), this decides
+    whether the family of vertex-disjoint path systems for [I|J] is
+    nonempty; it backtracks over the lists in order and stops at the first
+    disjoint pick.
+    """
     last = len(choices) - 1
 
     def rec(idx, used):

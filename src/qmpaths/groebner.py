@@ -12,16 +12,21 @@ ever needed; reduction is plain right-division by leading terms.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar
-from .torus import MonoKey, key_entry, mono_key
+from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar, _norm_coeff
+from .torus import MonoKey, mono_key
+from .cauchon import disjoint_pick_exists, enumerate_gamma
 from .straighten import (
     QmPoly,
     count_terms_in_grade,
     grade,
     term_divides,
+    times_monomial,
 )
 from .minors import (
     HPrimeHandle,
@@ -29,7 +34,6 @@ from .minors import (
     clear_denominator,
     dd_forward,
     kernel_member,
-    minor_in_kernel,
     minor_poly,
     sigma,
 )
@@ -53,10 +57,35 @@ class BasisElement:
         return ("x" if self.bare else "") + str(self.spec)
 
 
+def _support_mask(key: MonoKey, n: int) -> int:
+    """Bit (i-1)*n + (j-1) set for every coordinate (i, j) of the key."""
+    mask = 0
+    for i, j, _e in key:
+        mask |= 1 << ((i - 1) * n + j - 1)
+    return mask
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """Basis elements of the kernel named by `handle`.
+
+    `masks` holds the support bitmask of each element's leading term
+    (`_support_mask`), which `reduce` tests before `term_divides`; it is
+    built with the basis and freed with it.
+    """
+
     handle: HPrimeHandle
     elements: tuple
+    masks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        algebra = (self.handle.shape, self.handle.threshold, None)
+        for e in self.elements:
+            if (e.poly.shape, e.poly.threshold, e.poly.loc) != algebra:
+                raise ValueError(f"basis element {e} lives in another algebra")
+        n = self.handle.shape.n
+        masks = tuple(_support_mask(e.lt_key, n) for e in self.elements)
+        object.__setattr__(self, "masks", masks)
 
     def __iter__(self):
         return iter(self.elements)
@@ -68,7 +97,13 @@ class GroebnerBasis:
         return [str(e) for e in self.elements]
 
     def drop(self, index: int) -> "GroebnerBasis":
-        """Basis with one element removed (mutation testing)."""
+        """Basis with the element at a tuple index removed (negative indices
+        count from the end); IndexError for any other index.  Used for
+        mutation testing."""
+        size = len(self.elements)
+        if not -size <= index < size:
+            raise IndexError(f"basis index {index} out of range for {size} elements")
+        index %= size
         kept = self.elements[:index] + self.elements[index + 1 :]
         return GroebnerBasis(self.handle, kept)
 
@@ -79,25 +114,51 @@ def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
     Returns (minors, bare): all minor index pairs with maximum coordinate at
     most the threshold coordinate and empty path-system family, and the
     coordinates (i,j) in B beyond the threshold coordinate whose bare
-    generators join them.  Both lists are sorted.
+    generators join them.  Both lists are sorted, the minors by (k, I, J).
+
+    Such a minor lies in the kernel exactly when its family of
+    vertex-disjoint path systems is empty (`minor_in_kernel`).  One sweep
+    visits the minors in (k, I, J) order.  A k-minor with a diagonal
+    (k-1)-subminor in the kernel is in the kernel without a search: each
+    restricted family gamma(t; i, j) depends on (i, j) alone, and a
+    sub-system of a vertex-disjoint system is still vertex-disjoint
+    (Lindstrom 1973, Gessel-Viennot 1985), so dropping one index pair from
+    a disjoint system for [I|J] would give one for the subminor, whose
+    family is empty.  The subminor's maximum coordinate is at most the
+    minor's, so the sweep met it one size earlier.  Emptiness of a smaller
+    diagonal subminor's family passes up through the (k-1)-subminors the
+    same way, so these k lookups decide every inheritance.  The remaining
+    minors are searched by `disjoint_pick_exists` over the vertex sets of
+    the (i, j) families, each read once per call.
     """
-    shape = handle.shape
-    rs = handle.rs
+    graph, t = handle.graph, handle.t
+    r, s = rs = handle.rs
+    rows = range(1, r + 1)
+    cols = range(1, handle.shape.n + 1)
+    # every diagonal coordinate of a minor with maximum coordinate <= rs is <= rs
+    vsets = {
+        (i, j): enumerate_gamma(graph, t, i, j).vertex_sets
+        for i in rows for j in cols if (i, j) <= rs
+    }
     minors = []
-    rows_all = range(1, shape.m + 1)
-    cols_all = range(1, shape.n + 1)
-    for k in range(1, min(shape.m, shape.n) + 1):
-        for I in combinations(rows_all, k):
-            if I[-1] > rs[0]:
-                continue
-            for J in combinations(cols_all, k):
-                spec = MinorSpec(I, J)
-                if spec.max_coord > rs:
+    below: set = set()  # (I, J) of the kernel minors one size down
+    for k in range(1, min(r, len(cols)) + 1):
+        found = set()
+        for I in combinations(rows, k):
+            for J in combinations(cols, k):
+                if I[-1] == r and J[-1] > s:
                     continue
-                if minor_in_kernel(handle, spec):
-                    minors.append(spec)
+                inherited = k > 1 and any(
+                    (I[:a] + I[a + 1 :], J[:a] + J[a + 1 :]) in below
+                    for a in range(k)
+                )
+                if inherited or not disjoint_pick_exists(
+                    [vsets[c] for c in zip(I, J)]
+                ):
+                    found.add((I, J))
+                    minors.append(MinorSpec(I, J))
+        below = found
     bare = sorted(c for c in handle.diagram.black if c > rs)
-    minors.sort(key=lambda s: (s.k, s.I, s.J))
     return minors, bare
 
 
@@ -107,7 +168,7 @@ def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
     With check=True each element is verified to evaluate to zero.
     """
     minors, bare = hprime_minors(handle)
-    shape, t = handle.shape, handle.t
+    shape, t = handle.shape, handle.threshold
     elements = []
     for spec in minors:
         poly = minor_poly(shape, t, spec)
@@ -163,6 +224,62 @@ class ReductionStep:
     cofactor: MonoKey
 
 
+def _lex_key(key: MonoKey) -> tuple:
+    """Sort key of a nonnegative exponent key in the matrix-lexicographic
+    term order: tuples compare like `matrix_lex_compare`, in C.
+
+    At the first coordinate where two keys differ, the one with an entry
+    there has the larger (-i, -j) triple, or the larger exponent when both
+    have one; a key that runs out first has a zero entry at the other's next
+    coordinate and is the shorter tuple.
+    """
+    return tuple((-i, -j, e) for i, j, e in key)
+
+
+def _scalar(powers: dict) -> LaurentScalar:
+    """The LaurentScalar of nonzero {q-exponent: n} parts."""
+    return LaurentScalar._raw(tuple(sorted((p, _norm_coeff(n)) for p, n in powers.items())))
+
+
+def _add_product(acc: dict, prod: dict, scale, sign: int) -> None:
+    """acc += sign * prod * scale on {key: {q-exponent: n}} parts, scale given
+    as (q-exponent, n) pairs; zero parts and empty keys are dropped."""
+    for key, powers in prod.items():
+        out = acc.setdefault(key, {})
+        for p, m in powers.items():
+            for sp, sn in scale:
+                v = out.get(p + sp, 0) + sign * m * sn
+                if v:
+                    out[p + sp] = v
+                else:
+                    del out[p + sp]
+        if not out:
+            del acc[key]
+
+
+def _divisor(basis: GroebnerBasis, key: MonoKey):
+    """Index of the first basis element whose leading term divides the
+    nonnegative key, or None; the support masks rule most elements out
+    before `term_divides` runs."""
+    support = _support_mask(key, basis.handle.shape.n)
+    for idx, mask in enumerate(basis.masks):
+        if not mask & ~support and term_divides(basis.elements[idx].lt_key, key):
+            return idx
+    return None
+
+
+def _quotient(b: MonoKey, a: MonoKey) -> MonoKey:
+    """The key b - a, for a key a that divides b."""
+    out, k = [], 0
+    for i, j, e in b:
+        if k < len(a) and a[k][0] == i and a[k][1] == j:
+            e -= a[k][2]
+            k += 1
+        if e:
+            out.append((i, j, e))
+    return tuple(out)
+
+
 def reduce(a: QmPoly, basis: GroebnerBasis):
     """Right-reduce a by the basis.
 
@@ -171,6 +288,10 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     when no leading term divides.  Returns (remainder, trace).  Terminates
     because leading terms strictly decrease within the finitely many exponent
     matrices of the grades present.
+
+    The work polynomial is held as {key: {q-exponent: n}}, and each product
+    g * x^c comes from `times_monomial` in that form; LaurentScalars are
+    built only for each step's scale and for the remainder.
     """
     if a.shape != basis.handle.shape or a.threshold != basis.handle.threshold:
         raise ValueError("element and basis live in different algebras")
@@ -179,49 +300,51 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     trace = []
     if a.is_zero():
         return a, trace
-    cap = 1 + sum(
-        count_terms_in_grade(grade(a.shape, key)) for key in a.terms
-    )
-    work = a
+    # every key counts itself in its grade, so cap >= 1 + len(a.terms):
+    # the cap is needed only past that many steps
+    free_steps, cap = 1 + len(a.terms), None
+    work = {key: dict(c.terms) for key, c in a.terms.items()}
     steps = 0
-    while not work.is_zero():
-        lt_key, lt_coeff = work.leading_term()
-        hit = None
-        for idx, e in enumerate(basis.elements):
-            if term_divides(e.lt_key, lt_key):
-                hit = idx
-                break
+    while work:
+        lt_key = max(work, key=_lex_key)
+        hit = _divisor(basis, lt_key)
         if hit is None:
             break
         steps += 1
-        if steps > cap:
-            raise RuntimeError("reduction exceeded its term-count bound (bug)")
+        if steps > free_steps:
+            if cap is None:
+                cap = 1 + sum(
+                    count_terms_in_grade(grade(a.shape, key)) for key in a.terms
+                )
+            if steps > cap:
+                raise RuntimeError("reduction exceeded its term-count bound (bug)")
         e = basis.elements[hit]
-        cof = mono_key(
-            (i, j, eo - key_entry(e.lt_key, (i, j)))
-            for i, j, eo in lt_key
-        )
-        # x^cof comes from checked keys: built in a's algebra unvalidated
-        prod = e.poly * a._like({cof: ONE})
-        pk, pc = prod.leading_term()
-        if pk != lt_key:
+        cof = _quotient(lt_key, e.lt_key)
+        prod = times_monomial(e.poly, cof)
+        if max(prod, key=_lex_key) != lt_key:
             raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
-        if pc.as_monomial() is None:
+        if len(prod[lt_key]) != 1:
             raise AssertionError("leading coefficient of g * x^c is not a unit (bug)")
-        scale = lt_coeff * pc.inverse()
-        work = work - prod.scale(scale)
-        trace.append(ReductionStep(hit, scale, cof))
-    return work, trace
+        ((pp, pn),) = prod[lt_key].items()
+        inverse = _norm_coeff(Fraction(1, 1) / pn)
+        scale = {p - pp: m * inverse for p, m in work[lt_key].items()}
+        _add_product(work, prod, scale.items(), -1)
+        trace.append(ReductionStep(hit, _scalar(scale), cof))
+    if not trace:
+        return a, trace
+    return a._like({key: _scalar(c) for key, c in work.items()}), trace
 
 
 def apply_trace(basis: GroebnerBasis, trace) -> QmPoly:
-    """Right-combination named by a trace: sum of scale * g * x^cofactor."""
-    shape, th = basis.handle.shape, basis.handle.threshold
-    total = QmPoly.zero(shape, th)
+    """Right-combination named by a trace: sum of scale * g * x^cofactor.
+
+    This is the check on `reduce`, so every product is recomputed."""
+    total: dict = {}
     for step in trace:
-        e = basis.elements[step.index]
-        total = total + (e.poly * total._like({step.cofactor: ONE})).scale(step.scale)
-    return total
+        prod = times_monomial(basis.elements[step.index].poly, step.cofactor)
+        _add_product(total, prod, step.scale.terms, 1)
+    zero = QmPoly.zero(basis.handle.shape, basis.handle.threshold)
+    return zero._like({key: _scalar(c) for key, c in total.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +366,15 @@ def random_kernel_element(
     handle: HPrimeHandle,
     basis: GroebnerBasis,
     rng,
-    low: tuple | None = None,
+    low: Callable[[], tuple] | None = None,
 ) -> QmPoly:
     """Pseudo-random kernel member: a short sum of right-multiples of basis
     elements, or (when `low` supplies the next level down and the threshold
     square is white) a denominator-cleared derivation image of a lower-level
-    kernel element."""
+    kernel element.  `low` is a zero-argument callable returning the
+    (handle, basis) pair of that level, called only when the draw needs it."""
     if low is not None and rng.random() < 0.3:
-        low_handle, low_basis = low
+        low_handle, low_basis = low()
         if low_basis.elements:
             b = _random_right_combination(low_handle, low_basis, rng)
             if not b.is_zero():
@@ -351,7 +475,8 @@ def groebner_check(
     low = None
     if handle.t >= 2 and handle.rs not in handle.diagram.black:
         low_handle = handle.at(handle.t - 1)
-        low = (low_handle, groebner_basis(low_handle, check=False))
+        # built on the first draw that reads it, at most once per check
+        low = cache(lambda: (low_handle, groebner_basis(low_handle, check=False)))
     queue = [e.poly for e in full_basis.elements]
     while len(queue) < samples:
         queue.append(random_kernel_element(handle, full_basis, rng, low=low))
@@ -362,8 +487,7 @@ def groebner_check(
         if not kernel_member(handle, a):
             witness("sample-not-in-kernel", a)
             continue
-        lt_key, _ = a.leading_term()
-        if not any(term_divides(e.lt_key, lt_key) for e in basis.elements):
+        if _divisor(basis, max(a.terms, key=_lex_key)) is None:
             witness("leading-term-not-divisible", a)
             continue
         rem, trace = reduce(a, basis)

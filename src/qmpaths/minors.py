@@ -50,6 +50,8 @@ class MinorSpec:
     def __post_init__(self):
         if len(self.I) != len(self.J) or not self.I:
             raise ValueError("row and column sets must be nonempty of equal size")
+        if any(x.__class__ is bool for x in self.I + self.J):
+            raise TypeError("minor indices must be integers, not bool")
         if any(a >= b for a, b in zip(self.I, self.I[1:])) or any(
             a >= b for a, b in zip(self.J, self.J[1:])
         ):

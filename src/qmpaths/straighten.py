@@ -246,6 +246,11 @@ def _insert_letter(rs: Coord, key: MonoKey, y, coeffs, out) -> None:
     _accumulate(out, key, coeffs, shift)
 
 
+def _unit_letters(key: MonoKey) -> list:
+    """The letters (i, j, +-1) of x^key, in lexicographic order."""
+    return [(i, j, 1 if e > 0 else -1) for i, j, e in key for _ in range(abs(e))]
+
+
 def _fold(rs: Coord, terms: dict, letters) -> dict:
     """terms ({key: {(a, b): n}}) times the letters, in lexicographic
     expression; equal keys are merged after every letter."""
@@ -257,16 +262,22 @@ def _fold(rs: Coord, terms: dict, letters) -> dict:
     return terms
 
 
+def _q_parts(parts: dict) -> dict[int, int]:
+    """{q-exponent: n} of the sum of n q^a (q - q^{-1})^b over {(a, b): n};
+    zero sums are kept."""
+    powers: dict[int, int] = {}
+    for (qa, lb), n in parts.items():
+        if n:
+            for p, m in lam_power(lb).terms:
+                powers[qa + p] = powers.get(qa + p, 0) + n * m
+    return powers
+
+
 def _scalars(terms: dict) -> dict[MonoKey, LaurentScalar]:
     """One LaurentScalar per key from its {(a, b): n} parts; zeros dropped."""
     result = {}
     for key, parts in terms.items():
-        powers: dict[int, int] = {}
-        for (qa, lb), n in parts.items():
-            if n:
-                for p, m in lam_power(lb).terms:
-                    powers[qa + p] = powers.get(qa + p, 0) + n * m
-        c = tuple(sorted((p, _norm_coeff(n)) for p, n in powers.items() if n))
+        c = tuple(sorted((p, _norm_coeff(n)) for p, n in _q_parts(parts).items() if n))
         if c:
             result[key] = LaurentScalar._raw(c)
     return result
@@ -295,8 +306,7 @@ def straighten_word(rs: Coord, loc: Coord | None, word):
 @lru_cache(maxsize=1 << 16)
 def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
     """Cached x^a x^b as (key, scalar) pairs, for the tests and layer tracer."""
-    letters = [(i, j, 1 if e > 0 else -1) for i, j, e in b for _ in range(abs(e))]
-    return tuple(sorted(_scalars(_fold(rs, {a: {(0, 0): 1}}, letters)).items()))
+    return tuple(sorted(_scalars(_fold(rs, {a: {(0, 0): 1}}, _unit_letters(b))).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +394,7 @@ class QmPoly(TermSum):
         left = {k: {(p, 0): n for p, n in c.terms} for k, c in self._terms.items()}
         acc: dict = {}
         for k2, c2 in other._terms.items():
-            letters = [
-                (i, j, 1 if e > 0 else -1) for i, j, e in k2 for _ in range(abs(e))
-            ]
-            for key, parts in _fold(rs, left, letters).items():
+            for key, parts in _fold(rs, left, _unit_letters(k2)).items():
                 out = acc.setdefault(key, {})
                 for (qa, lb), n in parts.items():
                     for p, m in c2.terms:
@@ -430,6 +437,19 @@ class QmPoly(TermSum):
     def from_json(cls, data, loc=None) -> "QmPoly":
         shape = Shape(data["m"], data["n"])
         return cls(shape, data["t"], cls._terms_from_json(data["terms"]), loc)
+
+
+def times_monomial(a: QmPoly, key: MonoKey) -> dict:
+    """The product a x^key as {key: {q-exponent: n}}, before any
+    LaurentScalar is built: the terms of a * x^key with each coefficient's
+    nonzero parts.  No key of the result is empty."""
+    left = {k: {(p, 0): n for p, n in c.terms} for k, c in a._terms.items()}
+    out = {}
+    for k, parts in _fold(a.threshold.rs, left, _unit_letters(key)).items():
+        powers = {p: n for p, n in _q_parts(parts).items() if n}
+        if powers:
+            out[k] = powers
+    return out
 
 
 def swap_adjacent(shape: Shape, t, a: Coord, b: Coord) -> QmPoly:

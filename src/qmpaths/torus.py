@@ -32,6 +32,8 @@ class Shape:
     relaxed: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.m.__class__ is bool or self.n.__class__ is bool:
+            raise TypeError("shape dimensions must be integers, not bool")
         if self.m < 1 or self.n < 1:
             raise ValueError("shape dimensions must be positive")
         if not self.relaxed and (self.m < 2 or self.n < 2):
@@ -47,6 +49,8 @@ class Shape:
 
     def contains(self, coord: Coord) -> bool:
         i, j = coord
+        if i.__class__ is bool or j.__class__ is bool:
+            raise TypeError(f"coordinate {coord}: entries must be integers, not bool")
         return 1 <= i <= self.m and 1 <= j <= self.n
 
     def check_coord(self, coord: Coord) -> Coord:
@@ -56,6 +60,8 @@ class Shape:
 
     def threshold_coord(self, t: int) -> Coord:
         """The t-th smallest coordinate, t in [mn]."""
+        if t.__class__ is bool:
+            raise TypeError("threshold must be an integer, not bool")
         if not 1 <= t <= self.mn:
             raise ValueError(f"threshold {t} outside [1, {self.mn}]")
         return ((t - 1) // self.n + 1, (t - 1) % self.n + 1)

@@ -14,15 +14,22 @@ as a product of TorusElements per term.  Apart from the TorusElement
 product that last one uses (itself checked against the transposition
 oracle) and the system enumeration the path-system fold runs over, none of
 it shares code with the library paths it validates.
+
+The Groebner-layer oracles are the slower library routes that the fast ones
+replaced: the kernel minors by one path-system search per minor
+(`minor_in_kernel`), and reduction and trace replay on QmPoly arithmetic,
+one `QmPoly.__mul__` per step.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from qmpaths.cauchon import enumerate_vdps, generator, path_turns
 from qmpaths.coeff import ONE, ZERO, LaurentScalar, lam_power, q_power
-from qmpaths.straighten import QmPoly
-from qmpaths.torus import TorusElement, mono_key, pair_commutation
+from qmpaths.groebner import ReductionStep
+from qmpaths.minors import MinorSpec, minor_in_kernel
+from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
+from qmpaths.torus import TorusElement, key_entry, mono_key, pair_commutation
 
 
 def oracle_sort_word(word):
@@ -379,4 +386,82 @@ def oracle_sigma(handle, a):
             for _ in range(abs(e)):
                 prod = factor if prod is None else prod * factor
         total = total + (one if prod is None else prod).scale(coeff)
+    return total
+
+
+def oracle_hprime_minors(handle):
+    """(minors, bare) of the kernel at (B, t) by one `minor_in_kernel` search
+    per minor with maximum coordinate at most the threshold coordinate."""
+    shape = handle.shape
+    rs = handle.rs
+    minors = []
+    rows_all = range(1, shape.m + 1)
+    cols_all = range(1, shape.n + 1)
+    for k in range(1, min(shape.m, shape.n) + 1):
+        for I in combinations(rows_all, k):
+            if I[-1] > rs[0]:
+                continue
+            for J in combinations(cols_all, k):
+                spec = MinorSpec(I, J)
+                if spec.max_coord > rs:
+                    continue
+                if minor_in_kernel(handle, spec):
+                    minors.append(spec)
+    bare = sorted(c for c in handle.diagram.black if c > rs)
+    minors.sort(key=lambda s: (s.k, s.I, s.J))
+    return minors, bare
+
+
+def oracle_reduce(a, basis):
+    """Right-reduction on QmPoly arithmetic: leading terms by
+    `QmPoly.leading_term`, each step's product g * x^c by `QmPoly.__mul__`,
+    the work polynomial updated by QmPoly subtraction."""
+    if a.shape != basis.handle.shape or a.threshold != basis.handle.threshold:
+        raise ValueError("element and basis live in different algebras")
+    if a.loc is not None:
+        raise ValueError("reduction expects a polynomial (non-localized) element")
+    trace = []
+    if a.is_zero():
+        return a, trace
+    cap = 1 + sum(
+        count_terms_in_grade(grade(a.shape, key)) for key in a.terms
+    )
+    work = a
+    steps = 0
+    while not work.is_zero():
+        lt_key, lt_coeff = work.leading_term()
+        hit = None
+        for idx, e in enumerate(basis.elements):
+            if term_divides(e.lt_key, lt_key):
+                hit = idx
+                break
+        if hit is None:
+            break
+        steps += 1
+        if steps > cap:
+            raise RuntimeError("reduction exceeded its term-count bound (bug)")
+        e = basis.elements[hit]
+        cof = mono_key(
+            (i, j, eo - key_entry(e.lt_key, (i, j)))
+            for i, j, eo in lt_key
+        )
+        prod = e.poly * a._like({cof: ONE})
+        pk, pc = prod.leading_term()
+        if pk != lt_key:
+            raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
+        if pc.as_monomial() is None:
+            raise AssertionError("leading coefficient of g * x^c is not a unit (bug)")
+        scale = lt_coeff * pc.inverse()
+        work = work - prod.scale(scale)
+        trace.append(ReductionStep(hit, scale, cof))
+    return work, trace
+
+
+def oracle_apply_trace(basis, trace):
+    """Sum of scale * g * x^cofactor over a trace, on QmPoly arithmetic."""
+    shape, th = basis.handle.shape, basis.handle.threshold
+    total = QmPoly.zero(shape, th)
+    for step in trace:
+        e = basis.elements[step.index]
+        total = total + (e.poly * total._like({step.cofactor: ONE})).scale(step.scale)
     return total

@@ -2,12 +2,20 @@ import random
 
 import pytest
 
+from oracles import (
+    oracle_apply_trace,
+    oracle_hprime_minors,
+    oracle_reduce,
+    random_coeff,
+)
+from qmpaths import groebner
 from qmpaths.coeff import q_power
 from qmpaths.torus import Shape, mono_key
-from qmpaths.straighten import QmPoly, grade, term_divides
-from qmpaths.cauchon import Diagram
+from qmpaths.straighten import QmPoly, grade, matrix_lex_compare, term_divides
+from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
 from qmpaths.minors import HPrimeHandle, kernel_member
 from qmpaths.groebner import (
+    GroebnerBasis,
     apply_trace,
     groebner_basis,
     groebner_check,
@@ -16,6 +24,9 @@ from qmpaths.groebner import (
     minimal_groebner_basis,
     reduce,
 )
+
+# every Cauchon diagram of these shapes, at every threshold, in the oracle tests
+ORACLE_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
 
 E = lambda *pairs: mono_key([(i, j, 1) for i, j in pairs])
 
@@ -67,6 +78,16 @@ def test_bare_generators_below_top_threshold(shape22):
     assert bare == [(1, 2)]
     basis = groebner_basis(h)
     assert [str(e) for e in basis] == ["[1|1]", "x[1|2]"]
+
+
+@pytest.mark.parametrize("m,n", ORACLE_SHAPES)
+def test_hprime_minors_sweep_matches_per_minor_search(m, n):
+    shape = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(shape):
+        h = HPrimeHandle(d, shape.mn)
+        for t in range(1, shape.mn + 1):
+            ht = h.at(t)
+            assert hprime_minors(ht) == oracle_hprime_minors(ht), (d.to_inline(), t)
 
 
 def test_minimal_groebner_staircase(staircase_handle):
@@ -187,6 +208,75 @@ def test_reduction_remainder_locality(staircase_handle):
                 assert witness[0] < ik and witness[1] < jk
 
 
+def test_lex_key_orders_like_matrix_lex_compare():
+    rng = random.Random(23)
+    coords = list(Shape(3, 3).coords())
+
+    def key():
+        return mono_key((*rng.choice(coords), 1) for _ in range(rng.randint(0, 4)))
+
+    for _ in range(2000):
+        a, b = key(), key()
+        lex = (groebner._lex_key(a) > groebner._lex_key(b)) - (
+            groebner._lex_key(a) < groebner._lex_key(b)
+        )
+        assert lex == matrix_lex_compare(a, b)[0], (a, b)
+
+
+def _oracle_cases(rng, shape, per_shape):
+    """Seeded (basis, element) pairs on Cauchon diagrams of the shape at
+    random thresholds: right-combinations of basis elements (kernel
+    members), random polynomials (mostly not), both with Fraction
+    coefficients, each reduced by the basis and by the basis less one
+    element."""
+    diagrams = list(enumerate_cauchon_diagrams(shape))
+    coords = list(shape.coords())
+
+    def monomial():
+        return mono_key((*rng.choice(coords), 1) for _ in range(rng.randint(0, 3)))
+
+    for d in rng.sample(diagrams, min(per_shape, len(diagrams))):
+        h = HPrimeHandle(d, rng.randint(1, shape.mn))
+        basis = groebner_basis(h, check=False)
+        bases = [basis]
+        if len(basis) > 1:
+            bases.append(basis.drop(rng.randrange(len(basis))))
+        elements = [QmPoly(shape, h.t, {monomial(): random_coeff(rng)
+                                        for _ in range(rng.randint(1, 4))})]
+        if basis.elements:
+            total = QmPoly.zero(shape, h.t)
+            for _ in range(rng.randint(1, 3)):
+                e = rng.choice(basis.elements)
+                right = QmPoly.monomial(shape, h.t, monomial(), random_coeff(rng))
+                total = total + e.poly * right
+            elements.append(total)
+        for b in bases:
+            for a in elements:
+                yield b, a
+
+
+@pytest.mark.parametrize("m,n", ORACLE_SHAPES)
+def test_reduce_and_apply_trace_match_the_qmpoly_route(m, n):
+    rng = random.Random(100 * m + n)
+    seen = 0
+    for basis, a in _oracle_cases(rng, Shape(m, n), per_shape=24):
+        rem, trace = reduce(a, basis)
+        want_rem, want_trace = oracle_reduce(a, basis)
+        assert rem == want_rem
+        assert trace == want_trace
+        assert apply_trace(basis, trace) == oracle_apply_trace(basis, trace)
+        assert apply_trace(basis, trace) == a - rem
+        seen += bool(trace)
+    assert seen > 0
+
+
+def test_basis_rejects_an_element_of_another_algebra(staircase_handle):
+    basis = groebner_basis(staircase_handle)
+    other = groebner_basis(staircase_handle.at(11))
+    with pytest.raises(ValueError, match="lives in another algebra"):
+        GroebnerBasis(staircase_handle, basis.elements + other.elements[:1])
+
+
 def test_reduce_rejects_mismatched_input(staircase_handle, shape22):
     basis = groebner_basis(staircase_handle)
     with pytest.raises(ValueError):
@@ -244,6 +334,53 @@ def test_mutation_deleting_any_minimal_element_fails(staircase_handle):
             staircase_handle, samples=30, seed=5, basis=mutated
         )
         assert not rep.passed, f"dropping {minimal.elements[idx]} went unnoticed"
+
+
+def test_drop_removes_one_element_per_valid_index(staircase_handle):
+    minimal = minimal_groebner_basis(staircase_handle)
+    elements = minimal.elements
+    size = len(elements)
+    assert size == 5
+    for index in range(-size, size):
+        kept = minimal.drop(index).elements
+        gone = index % size
+        assert kept == elements[:gone] + elements[gone + 1:]
+    for index in (size, 99, -size - 1):
+        with pytest.raises(IndexError, match="out of range for 5 elements"):
+            minimal.drop(index)
+
+
+def _count_basis_builds(monkeypatch):
+    """Record the threshold of every groebner_basis call groebner_check makes."""
+    built = []
+    original = groebner.groebner_basis
+
+    def counting(handle, check=True):
+        built.append(handle.t)
+        return original(handle, check=check)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counting)
+    return built
+
+
+def test_lower_level_basis_is_built_at_most_once(monkeypatch, corner_diagram_2x3):
+    h = HPrimeHandle(corner_diagram_2x3, 5)
+    built = _count_basis_builds(monkeypatch)
+    rep = groebner_check(h, samples=40, seed=3)
+    assert rep.passed
+    assert built == [5, 4]
+
+
+def test_lower_level_basis_is_not_built_when_never_drawn(
+    monkeypatch, corner_diagram_2x3
+):
+    # with no more samples than basis elements no random element is drawn
+    h = HPrimeHandle(corner_diagram_2x3, 5)
+    size = len(groebner_basis(h, check=False))
+    built = _count_basis_builds(monkeypatch)
+    rep = groebner_check(h, samples=size, seed=3)
+    assert rep.passed
+    assert built == [5]
 
 
 def test_dd_image_kernel_elements_reduce(shape23):

@@ -56,6 +56,15 @@ def test_minor_spec_validation_and_parse():
         MinorSpec.parse("1,2|1,3")
 
 
+def test_bool_is_not_a_minor_index_or_generator_coordinate(shape22):
+    with pytest.raises(TypeError, match="minor indices must be integers, not bool"):
+        MinorSpec((True, 2), (1, 2))
+    with pytest.raises(TypeError, match="entries must be integers, not bool"):
+        QmPoly.generator(shape22, 4, (True, 1))
+    with pytest.raises(TypeError, match="entries must be integers, not bool"):
+        QmPoly(shape22, 4, [(((1, True, 1),), ONE)])
+
+
 def test_check_in_shape_rejects_indices_outside_the_grid(shape22):
     assert MinorSpec.of([1, 2], [1, 2]).check_in_shape(shape22).k == 2
     for I, J in [([0], [1]), ([-1], [1]), ([1], [0]), ([1, 3], [1, 2]), ([1], [3])]:

@@ -34,6 +34,24 @@ def test_shape_validation():
     assert Shape(2, 2, relaxed=True) == Shape(2, 2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Shape(True, 2, relaxed=True), "shape dimensions must be integers, not bool"),
+    (lambda: Shape(2, False), "shape dimensions must be integers, not bool"),
+    (lambda: Shape(2, 2).threshold_coord(True), "threshold must be an integer, not bool"),
+    (lambda: Shape(2, 2).check_coord((True, 1)),
+     "coordinate (True, 1): entries must be integers, not bool"),
+    (lambda: Shape(2, 2).contains((1, True)),
+     "coordinate (1, True): entries must be integers, not bool"),
+    (lambda: t_gen(Shape(2, 2), True, 1),
+     "coordinate (True, 1): entries must be integers, not bool"),
+])
+def test_bool_is_not_a_dimension_coordinate_or_threshold(make, message):
+    # bool subclasses int and passes the range checks as 1 or 0
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_coord_order_examples():
     sh = Shape(2, 3)
     assert sh.threshold_coord(5) == (2, 2)
