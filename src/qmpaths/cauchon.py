@@ -24,8 +24,9 @@ vertical-to-horizontal turn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .coeff import ZERO, q_power
+from .coeff import q_power
 from .torus import (
     Coord,
     EMPTY_KEY,
@@ -209,10 +210,13 @@ class CauchonGraph:
     The graph also holds the evaluation data derived from it, built on
     first use: per (i, j), every path from row i to column j with its vertex
     set, weight monomial and largest reflected-L turn; per (threshold
-    coordinate, i, j), the restricted family read off that list with its
-    vertex sets and generator path sum; and per (threshold coordinate, I, J),
-    the vertex-disjoint path systems.  Those objects are shared by every
-    caller and must not be mutated.
+    coordinate, i, j), the restricted family read off that list; and per
+    (threshold coordinate, I, J), the vertex-disjoint path systems.  A
+    family changes only at a threshold that passes one of its paths' turn
+    bounds, so one family object is built per (i, j, largest bound at or
+    below the threshold) and stored under every threshold that selects it,
+    and one system tuple per tuple of families.  Those objects are shared
+    by every caller and must not be mutated.
     """
 
     def __init__(self, diagram: Diagram):
@@ -257,6 +261,8 @@ class CauchonGraph:
         self._paths_cache: dict = {}
         self._gamma_cache: dict = {}
         self._vdps_cache: dict = {}
+        self._family_cache: dict = {}  # (i, j, bound) -> _Family
+        self._systems_cache: dict = {}  # family keys -> systems
 
     def out_edges(self, v: Vertex) -> tuple:
         return self.out.get(v, ())
@@ -371,8 +377,15 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
 
 class _Family(tuple):
     """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
-    `vertex_sets`, and their weight sum both as `weights`, {(key, q-exponent):
-    number of paths}, and as the TorusElement `generator`."""
+    `vertex_sets`, each path's weight monomial as `monomials`, {path:
+    (q-exponent, key)}, their weight sum as `weights`, {(key, q-exponent):
+    number of paths}, and as `key` the (i, j, bound) it is stored under on
+    its graph.  The weight sum as a TorusElement, `generator`, is built from
+    `weights` on first read."""
+
+    @cached_property
+    def generator(self) -> TorusElement:
+        return TorusElement._from_counts(self.shape, self.weights)
 
 
 def _row_column_paths(g: CauchonGraph, i: int, j: int) -> tuple:
@@ -398,22 +411,29 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
     order of their vertex sequences.
 
     Read off the row i -> column j path list and cached on the graph per
-    (threshold coordinate, i, j), with the vertex sets and generator sum.
+    (threshold coordinate, i, j); thresholds that select the same paths
+    share one family object.
     """
     rs = g.shape.threshold_coord(t)
     fam = g._gamma_cache.get((rs, i, j))
     if fam is None:
-        members = [r for r in _row_column_paths(g, i, j) if r[4] <= rs]
-        # every path weight is +q^c t^N, so no sum of them cancels to zero
-        weights: dict = {}
-        acc: dict = {}
-        for _path, _vset, qexp, mono, _bound in members:
-            weights[mono, qexp] = weights.get((mono, qexp), 0) + 1
-            acc[mono] = acc.get(mono, ZERO) + q_power(qexp)
-        fam = g._gamma_cache[(rs, i, j)] = _Family(r[0] for r in members)
-        fam.vertex_sets = tuple(r[1] for r in members)
-        fam.weights = weights
-        fam.generator = TorusElement._raw(g.shape, acc)
+        records = _row_column_paths(g, i, j)
+        # the members are the paths whose bound is at most this one
+        bound = max((r[4] for r in records if r[4] <= rs), default=None)
+        fam = g._family_cache.get((i, j, bound))
+        if fam is None:
+            members = [r for r in records if r[4] <= rs]
+            # every path weight is +q^c t^N, so no sum of them cancels to zero
+            weights: dict = {}
+            for _path, _vset, qexp, mono, _bound in members:
+                weights[mono, qexp] = weights.get((mono, qexp), 0) + 1
+            fam = g._family_cache[(i, j, bound)] = _Family(r[0] for r in members)
+            fam.shape = g.shape
+            fam.key = (i, j, bound)
+            fam.vertex_sets = tuple(r[1] for r in members)
+            fam.monomials = {r[0]: (r[2], r[3]) for r in members}
+            fam.weights = weights
+        g._gamma_cache[(rs, i, j)] = fam
     return fam
 
 
@@ -437,6 +457,25 @@ def generator_matrix(g: CauchonGraph, t: int) -> tuple:
 # vertex-disjoint path systems
 
 
+class _Systems(tuple):
+    """The vertex-disjoint systems picked from the families `families`,
+    one path per family.  Their weight sum, `weights`, {(key, q-exponent):
+    number of systems}, is built on first read from the member paths'
+    `monomials`."""
+
+    @cached_property
+    def weights(self) -> dict:
+        counts: dict = {}
+        for system in self:
+            qexp, mono = 0, EMPTY_KEY
+            for fam, path in zip(self.families, system):
+                c, key = fam.monomials[path]
+                e, mono = monomial_mul(mono, key)
+                qexp += c + e
+            counts[mono, qexp] = counts.get((mono, qexp), 0) + 1
+        return counts
+
+
 def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     """All vertex-disjoint systems (P_1, ..., P_k), P_r from row I[r] to
     column J[r], each path in the t-restricted family.
@@ -444,7 +483,8 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     Deterministic order: lexicographic in the per-index path enumeration
     order.  The order is load-bearing: the supremum of the family is the
     first system and the infimum the last (see `vdps_supremum`).  Requires
-    |I| == |J| >= 1.
+    |I| == |J| >= 1.  The tuple is shared by every threshold that selects
+    the same families, and carries their weight sum (see `_Systems`).
     """
     I = tuple(I)
     J = tuple(J)
@@ -458,6 +498,12 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     if hit is not None:
         return hit
     choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
+    # the systems depend on the families only
+    shared = tuple(fam.key for fam in choices)
+    hit = g._systems_cache.get(shared)
+    if hit is not None:
+        g._vdps_cache[key] = hit
+        return hit
     systems = []
 
     def rec(idx, used, acc):
@@ -473,8 +519,8 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
             acc.pop()
 
     rec(0, frozenset(), [])
-    systems = tuple(systems)
-    g._vdps_cache[key] = systems
+    systems = g._systems_cache[shared] = g._vdps_cache[key] = _Systems(systems)
+    systems.families = tuple(choices)
     return systems
 
 

@@ -25,17 +25,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .coeff import ONE, q_power
+from .coeff import q_power
 from .torus import (
     EMPTY_KEY, Coord, Shape, TorusElement, key_entry, mono_key, monomial_mul,
 )
-from .straighten import QmPoly, Threshold
+from .straighten import (
+    QmPoly, Threshold, _accumulate, _fold, _scalars, _unit_letters,
+)
 from .cauchon import (
     Diagram,
     build_graph,
     enumerate_gamma,
     enumerate_vdps,
-    system_weight,
     vdps_exists,
 )
 
@@ -210,15 +211,22 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     if a.threshold != handle.threshold:
         raise ValueError("threshold mismatch")
     graph, t = handle.graph, handle.t
+    images: dict = {}  # (i, j, +-1) -> image, looked up once per call
 
     def image(i, j, e):
+        out = images.get((i, j, e))
+        if out is not None:
+            return out
         if e < 0 and handle.diagram.is_black((i, j)):
             raise ValueError("cannot invert the image of a black coordinate")
         fam = enumerate_gamma(graph, t, i, j)  # cached on the graph: never mutated
         if e > 0:
-            return fam.weights
-        inverse = fam.generator.inverse().terms  # a monomial: white at loc
-        return {(k, p): n for k, c in inverse.items() for p, n in c.terms}
+            out = fam.weights
+        else:
+            inverse = fam.generator.inverse().terms  # a monomial: white at loc
+            out = {(k, p): n for k, c in inverse.items() for p, n in c.terms}
+        images[i, j, e] = out
+        return out
 
     acc: dict = {}
     for key, coeff in a.terms.items():
@@ -253,10 +261,9 @@ def lindstrom_eval(handle: HPrimeHandle, spec: MinorSpec) -> TorusElement:
     coordinate; sigma(minor_poly(...)) evaluates without that hypothesis.
     """
     _check_below_threshold(handle, spec)
-    total = TorusElement.zero(handle.shape)
-    for system in enumerate_vdps(handle.graph, handle.t, spec.I, spec.J):
-        total = total + system_weight(handle.graph, system)
-    return total
+    systems = enumerate_vdps(handle.graph, handle.t, spec.I, spec.J)
+    # summed from each member path's (q-exponent, key) in its family
+    return TorusElement._from_counts(handle.shape, systems.weights)
 
 
 def minor_in_kernel(handle: HPrimeHandle, spec: MinorSpec) -> bool:
@@ -286,32 +293,31 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
     x_{i,j} + sign * x_{i,s} x_{r,s}^{-1} x_{r,j} of each generator northwest
     of (r, s) and the generator itself for every other one.
 
-    The correction is kept in lexicographic order, x_{i,s} x_{r,j} x_{r,s}^{-1},
-    which costs one factor q.  The input is localized at rs or not at all,
-    so only x_{r,s} can carry a negative exponent.
+    Each term's letters are folded left to right into its integer parts
+    ({key: {(a, b): n}}, see `straighten`), straightened at the level-t
+    threshold coordinate; a northwest letter adds the fold of the
+    correction, kept in lexicographic order x_{i,s} x_{r,j} x_{r,s}^{-1} at
+    the cost of one factor q.  One scalar is built per result key.  The
+    input is localized at rs or not at all, so only x_{r,s} can carry a
+    negative exponent.
     """
-    shape, (r, s) = a.shape, rs
-    one = QmPoly.one(shape, t, loc=rs)
-    th, corr = one.threshold, q_power(1) * sign
-
-    def image(i, j, e):
-        if e < 0:
-            return QmPoly.generator(shape, th, rs, e=-1, loc=rs)
-        terms = [(mono_key([(i, j, 1)]), ONE)]
-        if i < r and j < s:
-            terms.append((mono_key([(i, s, 1), (r, j, 1), (r, s, -1)]), corr))
-        return QmPoly(shape, th, terms, loc=rs)
-
-    # each term's letters multiply left to right from the first factor
-    total = one.scale(0)
+    r, s = rs
+    target = QmPoly.zero(a.shape, t, loc=rs)
+    at = target.threshold.rs
+    acc: dict = {}
     for key, coeff in a.terms.items():
-        prod = None
-        for i, j, e in key:
-            factor = image(i, j, 1 if e > 0 else -1)
-            for _ in range(abs(e)):
-                prod = factor if prod is None else prod * factor
-        total = total + (one if prod is None else prod).scale(coeff)
-    return total
+        terms = {EMPTY_KEY: {(p, 0): n for p, n in coeff.terms}}
+        for y in _unit_letters(key):
+            i, j, e = y
+            out = _fold(at, terms, (y,))
+            if e > 0 and i < r and j < s:
+                corr = _fold(at, terms, ((i, s, 1), (r, j, 1), (r, s, -1)))
+                for k, parts in corr.items():
+                    _accumulate(out, k, parts, dq=1, sign=sign)
+            terms = out
+        for k, parts in terms.items():
+            _accumulate(acc, k, parts)
+    return target._like(_scalars(acc))
 
 
 def dd_forward(a: QmPoly) -> QmPoly:

@@ -15,6 +15,11 @@ product that last one uses (itself checked against the transposition
 oracle) and the system enumeration the path-system fold runs over, none of
 it shares code with the library paths it validates.
 
+The relations suite's oracle is its former body, on TorusElement
+products; a minor's path-system sum is `system_weight` summed over the
+systems; the vertex-disjoint systems are picked from the pruning-DFS
+families with a pairwise disjointness filter.
+
 The Groebner-layer oracles are the slower library routes that the fast ones
 replaced: the kernel minors by one path-system search per minor
 (`minor_in_kernel`), and reduction and trace replay on QmPoly arithmetic,
@@ -22,14 +27,23 @@ one `QmPoly.__mul__` per step.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from qmpaths.cauchon import enumerate_vdps, generator, path_turns
-from qmpaths.coeff import ONE, ZERO, LaurentScalar, lam_power, q_power
+from qmpaths.cauchon import (
+    build_graph,
+    enumerate_cauchon_diagrams,
+    enumerate_vdps,
+    generator,
+    generator_matrix,
+    path_turns,
+    system_weight,
+)
+from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, lam_power, q_power
 from qmpaths.groebner import ReductionStep
 from qmpaths.minors import MinorSpec, minor_in_kernel
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import TorusElement, key_entry, mono_key, pair_commutation
+from qmpaths.verify import Report, _run, _shapes
 
 
 def oracle_sort_word(word):
@@ -387,6 +401,72 @@ def oracle_sigma(handle, a):
                 prod = factor if prod is None else prod * factor
         total = total + (one if prod is None else prod).scale(coeff)
     return total
+
+
+def oracle_lindstrom_eval(handle, spec):
+    """The minor's path-system weight sum: `system_weight`, which walks each
+    member path's turns again, summed over the systems as TorusElements."""
+    total = TorusElement.zero(handle.shape)
+    for system in enumerate_vdps(handle.graph, handle.t, spec.I, spec.J):
+        total = total + system_weight(handle.graph, system)
+    return total
+
+
+def oracle_relations(max_m=3, max_n=3):
+    """The relations suite on TorusElement arithmetic: every defining
+    relation of each 2x2 submatrix of the generator matrix checked by
+    TorusElement products, scaling and sums.  Returns its Report."""
+    report = Report("relations", {"max": [max_m, max_n]})
+    q1 = q_power(1)
+
+    def body(report):
+        for shape in _shapes(max_m, max_n):
+            for d in enumerate_cauchon_diagrams(shape):
+                g = build_graph(d)
+                for t in range(1, shape.mn + 1):
+                    rs = shape.threshold_coord(t)
+                    X = generator_matrix(g, t)
+                    for i, k in combinations(range(1, shape.m + 1), 2):
+                        for j, l in combinations(range(1, shape.n + 1), 2):
+                            a, b = X[i - 1][j - 1], X[i - 1][l - 1]
+                            c, dd = X[k - 1][j - 1], X[k - 1][l - 1]
+                            checks = [
+                                ("ab=qba", a * b == (b * a).scale(q1)),
+                                ("cd=qdc", c * dd == (dd * c).scale(q1)),
+                                ("ac=qca", a * c == (c * a).scale(q1)),
+                                ("bd=qdb", b * dd == (dd * b).scale(q1)),
+                                ("bc=cb", b * c == c * b),
+                            ]
+                            if (k, l) > rs:
+                                checks.append(("ad=da", a * dd == dd * a))
+                            else:
+                                checks.append(
+                                    ("ad=da+lam*bc",
+                                     a * dd == dd * a + (b * c).scale(LAM))
+                                )
+                            for name, ok in checks:
+                                report.checks += 1
+                                if not ok:
+                                    report.fail(
+                                        diagram=d.to_inline(),
+                                        t=t,
+                                        submatrix=[i, j, k, l],
+                                        relation=name,
+                                    )
+
+    return _run(report, body)
+
+
+def oracle_vdps(g, t, I, J):
+    """The vertex-disjoint systems for [I|J] from scratch: every pick of one
+    path per index from the pruning-DFS families, kept when the picks are
+    pairwise vertex-disjoint, in lexicographic order of the picks."""
+    systems = []
+    for pick in product(*(oracle_gamma(g, t, i, j) for i, j in zip(I, J))):
+        sets = [set(p) for p in pick]
+        if all(a.isdisjoint(b) for a, b in combinations(sets, 2)):
+            systems.append(pick)
+    return tuple(systems)
 
 
 def oracle_hprime_minors(handle):

@@ -36,6 +36,7 @@ from oracles import (
     oracle_path_in_gamma,
     oracle_path_l,
     oracle_path_u,
+    oracle_vdps,
     oracle_vdps_envelope,
 )
 
@@ -270,6 +271,46 @@ def test_cached_generator_equals_path_weight_sum():
                     assert again is first and again == expected
 
 
+def test_families_shared_across_thresholds():
+    # thresholds that select the same paths share one family object; over
+    # every diagram up to 3x3 the 22,166 (threshold, i, j) families hold
+    # 3,020 distinct member sets
+    objects, lookups = 0, 0
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        sh = Shape(m, n)
+        for d in enumerate_cauchon_diagrams(sh):
+            g = build_graph(d)
+            by_members = {}
+            for t in range(1, m * n + 1):
+                for i, j in sh.coords():
+                    fam = enumerate_gamma(g, t, i, j)
+                    lookups += 1
+                    assert fam == oracle_gamma(g, t, i, j)
+                    assert by_members.setdefault((i, j, tuple(fam)), fam) is fam
+            objects += len({id(f) for f in by_members.values()})
+    assert lookups == 22166
+    assert objects == 3020
+
+
+def test_generator_built_on_first_read():
+    sh = Shape(3, 3)
+    for d in enumerate_cauchon_diagrams(sh):
+        g = build_graph(d)
+        read = set()  # ids of the families whose generator was read
+        for t in range(1, sh.mn + 1):
+            for i, j in sh.coords():
+                fam = enumerate_gamma(g, t, i, j)
+                assert ("generator" in vars(fam)) == (id(fam) in read)
+                first = generator(g, t, i, j)
+                read.add(id(fam))
+                assert vars(fam)["generator"] is first
+                expected = TorusElement.zero(sh)
+                for p in fam:
+                    expected = expected + path_weight(g, p)
+                assert first == expected
+                assert generator(g, t, i, j) is first
+
+
 def test_generator_empty_diagram_t1():
     sh = Shape(3, 3)
     g = build_graph(Diagram.all_white(sh))
@@ -328,6 +369,24 @@ def test_vdps_exists_agrees_with_enumerator():
                             assert vdps_exists(g, t, I, J) == bool(
                                 enumerate_vdps(g, t, I, J)
                             )
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_vdps_equal_unshared_enumeration(m, n):
+    # systems shared across thresholds equal the ones picked from scratch at
+    # every threshold
+    sh = Shape(m, n)
+    specs = [
+        (I, J)
+        for k in range(1, min(m, n) + 1)
+        for I in itertools.combinations(range(1, m + 1), k)
+        for J in itertools.combinations(range(1, n + 1), k)
+    ]
+    for d in enumerate_cauchon_diagrams(sh):
+        g = build_graph(d)
+        for t in range(1, m * n + 1):
+            for I, J in specs:
+                assert enumerate_vdps(g, t, I, J) == oracle_vdps(g, t, I, J)
 
 
 def test_turn_matrices_distinct_across_family():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +9,10 @@ from qmpaths.straighten import QmPoly, Threshold
 from qmpaths.cauchon import (
     Diagram,
     enumerate_cauchon_diagrams,
+    enumerate_gamma,
     generator,
 )
+from qmpaths import minors as minors_module
 from qmpaths.minors import (
     HPrimeHandle,
     MinorSpec,
@@ -28,6 +31,7 @@ from qmpaths.minors import (
 from oracles import (
     oracle_derivation,
     oracle_inversions,
+    oracle_lindstrom_eval,
     oracle_minor_poly,
     oracle_sigma,
     random_coeff,
@@ -449,6 +453,77 @@ def test_derivations_equal_table_oracle(m, n):
                 assert dd_forward(a) == oracle_derivation(a, t, rs, -1)
                 b = _random_element(rng, sh, t, loc)
                 assert dd_backward(b) == oracle_derivation(b, t - 1, rs, 1)
+
+
+def _power_element(rng, sh, t, loc=None):
+    """A few random terms at level t whose letters carry exponents 1 to 3;
+    with loc, about half of the terms also carry x_loc^-1 to x_loc^-3."""
+    coords = list(sh.coords())
+    terms = {}
+    for _k in range(rng.randint(1, 3)):
+        letters = [(*rng.choice(coords), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 2))]
+        if loc is not None and rng.random() < 0.5:
+            letters.append((*loc, -rng.randint(1, 3)))
+        terms[mono_key(letters)] = random_coeff(rng)
+    return QmPoly(sh, t, terms, loc=loc)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_derivations_with_powers_equal_table_oracle(m, n):
+    # exponents up to 3, plain and localized, Fraction coefficients
+    rng = random.Random(300 + 10 * m + n)
+    sh = Shape(m, n)
+    for t in range(2, sh.mn + 1):
+        rs = sh.threshold_coord(t)
+        for loc in (None, rs):
+            for _ in range(2):
+                a = _power_element(rng, sh, t - 1, loc)
+                assert dd_forward(a) == oracle_derivation(a, t, rs, -1)
+                b = _power_element(rng, sh, t, loc)
+                assert dd_backward(b) == oracle_derivation(b, t - 1, rs, 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_lindstrom_eval_equals_system_weight_sum(m, n):
+    sh = Shape(m, n)
+    specs = [
+        MinorSpec(I, J)
+        for k in range(1, min(m, n) + 1)
+        for I in combinations(range(1, m + 1), k)
+        for J in combinations(range(1, n + 1), k)
+    ]
+    for d in enumerate_cauchon_diagrams(sh):
+        top = HPrimeHandle(d, sh.mn)
+        for t in range(1, sh.mn + 1):
+            h = top.at(t)
+            for spec in specs:
+                if spec.max_coord <= h.rs:
+                    assert lindstrom_eval(h, spec) == oracle_lindstrom_eval(h, spec)
+
+
+def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
+    sh = Shape(3, 3)
+    h = HPrimeHandle(Diagram.all_white(sh), sh.mn)
+    seen = []
+
+    def counting(g, t, i, j):
+        seen.append((i, j))
+        return enumerate_gamma(g, t, i, j)
+
+    monkeypatch.setattr(minors_module, "enumerate_gamma", counting)
+    a = QmPoly(sh, sh.mn, {
+        E((1, 1), (1, 1), (2, 2)): ONE,
+        E((1, 1), (2, 2), (3, 3)): ONE,
+        mono_key([(2, 2, 3), (3, 3, 1)]): ONE,
+    }, loc=(3, 3))
+    b = QmPoly(sh, sh.mn, {mono_key([(1, 1, 1), (3, 3, -2)]): ONE}, loc=(3, 3))
+    assert sigma(h, a) == oracle_sigma(h, a)
+    assert sorted(seen) == [(1, 1), (2, 2), (3, 3)]
+    seen.clear()
+    # x_{3,3} and its inverse are looked up separately
+    assert sigma(h, a + b) == oracle_sigma(h, a + b)
+    assert sorted(seen) == [(1, 1), (2, 2), (3, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])

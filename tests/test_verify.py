@@ -1,5 +1,10 @@
 import json
+import time
 
+import pytest
+
+import oracles
+from qmpaths import cauchon, verify
 from qmpaths.torus import Shape
 from qmpaths.cauchon import Diagram
 from qmpaths.verify import SUITES, run_ddalg, run_groebner, run_lindstrom, run_relations
@@ -47,3 +52,53 @@ def test_suite_with_zero_checks_does_not_pass():
     assert rep.checks == 0
     assert not rep.passed
     assert rep.to_json()["passed"] is False
+
+
+def test_relations_equal_torus_oracle():
+    # every shape up to 3x3: the same checks and the same (no) failures
+    rep = run_relations(3, 3)
+    want = oracles.oracle_relations(3, 3)
+    assert rep.checks == want.checks == 122052
+    assert rep.failures == want.failures == []
+
+
+def _shift_relation_q(monkeypatch):
+    # the q-commutation relations ask for q^2 instead of q
+    shift, q_power = verify._q_shift, oracles.q_power
+    monkeypatch.setattr(verify, "_q_shift", lambda c, dq: shift(c, 2 * dq))
+    monkeypatch.setattr(oracles, "q_power", lambda e: q_power(2 * e))
+
+
+def _shift_turning_path_weights(monkeypatch):
+    # every path with a reflected-L turn gets one extra factor q
+    rows = cauchon._row_column_paths
+
+    def shifted(g, i, j):
+        records = g._paths_cache.get((i, j))
+        if records is None:
+            records = g._paths_cache[(i, j)] = tuple(
+                (p, vs, qexp + (bound != (0, 0)), key, bound)
+                for p, vs, qexp, key, bound in rows(g, i, j)
+            )
+        return records
+
+    monkeypatch.setattr(cauchon, "_row_column_paths", shifted)
+
+
+@pytest.mark.parametrize("mutate", [_shift_relation_q, _shift_turning_path_weights])
+def test_mutated_relations_fail_both_routes(monkeypatch, mutate):
+    mutate(monkeypatch)
+    rep = run_relations(2, 3)
+    want = oracles.oracle_relations(2, 3)
+    assert rep.failures and not rep.passed
+    assert rep.checks == want.checks
+    assert rep.failures == want.failures
+
+
+def test_report_elapsed_uses_a_monotonic_clock(monkeypatch):
+    def stepped():
+        raise AssertionError("the wall clock was read")
+
+    monkeypatch.setattr(time, "time", stepped)
+    rep = run_relations(2, 2)
+    assert rep.passed and rep.elapsed >= 0.0
