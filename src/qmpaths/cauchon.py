@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coeff import q_power
 from .torus import (
     Coord,
     EMPTY_KEY,
@@ -567,7 +566,7 @@ def system_weight(g: CauchonGraph, system) -> TorusElement:
         if p[0][0] != "r" or p[-1][0] != "c":
             raise ValueError("weights are defined for row-to-column paths")
         qexp, mono = _turn_monomial(path_turns(g, p), qexp, mono)
-    return TorusElement._raw(g.shape, {mono: q_power(qexp)})
+    return TorusElement._raw(g.shape, {mono: {qexp: 1}})
 
 
 def system_turn_key(g: CauchonGraph, system):

@@ -11,13 +11,15 @@ Subcommands:
 
 Diagrams are written inline as '#'/'.' rows joined by '/'.  All structured
 output is JSON with a schema version field; exit codes are 0 on success, 1
-on verification failure, 2 on usage errors.
+on verification failure, 2 on usage errors and 141 (128 + SIGPIPE) when the
+reader closes the output pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cauchon import (
@@ -364,6 +366,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to /dev/null so
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from functools import cache
 from itertools import combinations
 
 from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar, _norm_coeff
-from .torus import MonoKey, mono_key
+from .torus import MonoKey, add_parts, mono_key, to_scalar
 from .cauchon import disjoint_pick_exists, enumerate_gamma
 from .straighten import (
     QmPoly,
@@ -236,27 +236,6 @@ def _lex_key(key: MonoKey) -> tuple:
     return tuple((-i, -j, e) for i, j, e in key)
 
 
-def _scalar(powers: dict) -> LaurentScalar:
-    """The LaurentScalar of nonzero {q-exponent: n} parts."""
-    return LaurentScalar._raw(tuple(sorted((p, _norm_coeff(n)) for p, n in powers.items())))
-
-
-def _add_product(acc: dict, prod: dict, scale, sign: int) -> None:
-    """acc += sign * prod * scale on {key: {q-exponent: n}} parts, scale given
-    as (q-exponent, n) pairs; zero parts and empty keys are dropped."""
-    for key, powers in prod.items():
-        out = acc.setdefault(key, {})
-        for p, m in powers.items():
-            for sp, sn in scale:
-                v = out.get(p + sp, 0) + sign * m * sn
-                if v:
-                    out[p + sp] = v
-                else:
-                    del out[p + sp]
-        if not out:
-            del acc[key]
-
-
 def _divisor(basis: GroebnerBasis, key: MonoKey):
     """Index of the first basis element whose leading term divides the
     nonnegative key, or None; the support masks rule most elements out
@@ -289,9 +268,9 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     because leading terms strictly decrease within the finitely many exponent
     matrices of the grades present.
 
-    The work polynomial is held as {key: {q-exponent: n}}, and each product
-    g * x^c comes from `times_monomial` in that form; LaurentScalars are
-    built only for each step's scale and for the remainder.
+    The work polynomial is a copy of a's parts ({key: {q-exponent: n}}),
+    each product g * x^c comes from `times_monomial` in that form, and a
+    LaurentScalar is built only for each step's scale.
     """
     if a.shape != basis.handle.shape or a.threshold != basis.handle.threshold:
         raise ValueError("element and basis live in different algebras")
@@ -300,10 +279,10 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     trace = []
     if a.is_zero():
         return a, trace
-    # every key counts itself in its grade, so cap >= 1 + len(a.terms):
+    # every key counts itself in its grade, so cap >= 1 + len(a):
     # the cap is needed only past that many steps
-    free_steps, cap = 1 + len(a.terms), None
-    work = {key: dict(c.terms) for key, c in a.terms.items()}
+    free_steps, cap = 1 + len(a), None
+    work = {key: dict(parts) for key, parts in a._terms.items()}
     steps = 0
     while work:
         lt_key = max(work, key=_lex_key)
@@ -314,7 +293,7 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
         if steps > free_steps:
             if cap is None:
                 cap = 1 + sum(
-                    count_terms_in_grade(grade(a.shape, key)) for key in a.terms
+                    count_terms_in_grade(grade(a.shape, key)) for key in a._terms
                 )
             if steps > cap:
                 raise RuntimeError("reduction exceeded its term-count bound (bug)")
@@ -328,11 +307,13 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
         ((pp, pn),) = prod[lt_key].items()
         inverse = _norm_coeff(Fraction(1, 1) / pn)
         scale = {p - pp: m * inverse for p, m in work[lt_key].items()}
-        _add_product(work, prod, scale.items(), -1)
-        trace.append(ReductionStep(hit, _scalar(scale), cof))
+        minus = [(p, -n) for p, n in scale.items()]
+        for key, powers in prod.items():
+            add_parts(work, key, powers.items(), minus)
+        trace.append(ReductionStep(hit, to_scalar(scale), cof))
     if not trace:
         return a, trace
-    return a._like({key: _scalar(c) for key, c in work.items()}), trace
+    return a._like(work), trace
 
 
 def apply_trace(basis: GroebnerBasis, trace) -> QmPoly:
@@ -342,9 +323,10 @@ def apply_trace(basis: GroebnerBasis, trace) -> QmPoly:
     total: dict = {}
     for step in trace:
         prod = times_monomial(basis.elements[step.index].poly, step.cofactor)
-        _add_product(total, prod, step.scale.terms, 1)
+        for key, powers in prod.items():
+            add_parts(total, key, powers.items(), step.scale.terms)
     zero = QmPoly.zero(basis.handle.shape, basis.handle.threshold)
-    return zero._like({key: _scalar(c) for key, c in total.items()})
+    return zero._like(total)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +375,7 @@ def _random_right_combination(handle, basis, rng):
         e = rng.choice(basis.elements)
         key = _random_monomial_key(rng, shape, 2)
         coeff = rng.choice(_COEFF_POOL)
-        total = total + (e.poly * total._like({key: ONE})).scale(coeff)
+        total = total + (e.poly * total._like({key: {0: 1}})).scale(coeff)
     return total
 
 
@@ -487,7 +469,7 @@ def groebner_check(
         if not kernel_member(handle, a):
             witness("sample-not-in-kernel", a)
             continue
-        if _divisor(basis, max(a.terms, key=_lex_key)) is None:
+        if _divisor(basis, max(a._terms, key=_lex_key)) is None:
             witness("leading-term-not-divisible", a)
             continue
         rem, trace = reduce(a, basis)

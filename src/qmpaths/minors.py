@@ -30,7 +30,7 @@ from .torus import (
     EMPTY_KEY, Coord, Shape, TorusElement, key_entry, mono_key, monomial_mul,
 )
 from .straighten import (
-    QmPoly, Threshold, _accumulate, _fold, _scalars, _unit_letters,
+    QmPoly, Threshold, _accumulate, _collapse, _fold, _unit_letters,
 )
 from .cauchon import (
     Diagram,
@@ -223,20 +223,20 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
         if e > 0:
             out = fam.weights
         else:
-            inverse = fam.generator.inverse().terms  # a monomial: white at loc
-            out = {(k, p): n for k, c in inverse.items() for p, n in c.terms}
+            inverse = fam.generator.inverse()._terms  # a monomial: white at loc
+            out = {(k, p): n for k, c in inverse.items() for p, n in c.items()}
         images[i, j, e] = out
         return out
 
     acc: dict = {}
-    for key, coeff in a.terms.items():
+    for key, coeff in a._terms.items():
         prod = None
         for i, j, e in key:
             factor = image(i, j, 1 if e > 0 else -1)
             for _ in range(abs(e)):
                 prod = factor if prod is None else _monomial_product(prod, factor)
         for (k, c), n in ({(EMPTY_KEY, 0): 1} if prod is None else prod).items():
-            for p, m in coeff.terms:
+            for p, m in coeff.items():
                 acc[k, c + p] = acc.get((k, c + p), 0) + n * m
     return TorusElement._from_counts(handle.shape, acc)
 
@@ -297,7 +297,7 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
     ({key: {(a, b): n}}, see `straighten`), straightened at the level-t
     threshold coordinate; a northwest letter adds the fold of the
     correction, kept in lexicographic order x_{i,s} x_{r,j} x_{r,s}^{-1} at
-    the cost of one factor q.  One scalar is built per result key.  The
+    the cost of one factor q.  The parts are collapsed once at the end.  The
     input is localized at rs or not at all, so only x_{r,s} can carry a
     negative exponent.
     """
@@ -305,8 +305,8 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
     target = QmPoly.zero(a.shape, t, loc=rs)
     at = target.threshold.rs
     acc: dict = {}
-    for key, coeff in a.terms.items():
-        terms = {EMPTY_KEY: {(p, 0): n for p, n in coeff.terms}}
+    for key, coeff in a._terms.items():
+        terms = {EMPTY_KEY: {(p, 0): n for p, n in coeff.items()}}
         for y in _unit_letters(key):
             i, j, e = y
             out = _fold(at, terms, (y,))
@@ -317,7 +317,7 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
             terms = out
         for k, parts in terms.items():
             _accumulate(acc, k, parts)
-    return target._like(_scalars(acc))
+    return target._like(_collapse(acc))
 
 
 def dd_forward(a: QmPoly) -> QmPoly:
@@ -358,7 +358,7 @@ def clear_denominator(a: QmPoly) -> tuple[QmPoly, int]:
     if a.loc is None:
         return a, 0
     h = 0
-    for key in a.terms:
+    for key in a._terms:
         e = key_entry(key, a.loc)
         if e < 0:
             h = max(h, -e)

@@ -16,9 +16,10 @@ Multiplication works on these exponent keys: a key times one generator is
 straightened in a single scan of the key from its largest coordinate down,
 each block of equal letters handled in one step.  A product of polynomials
 folds that scan over the letters of each right-hand key, for all left terms
-at once; coefficients stay integers (or Fractions) until one scalar is built
-per result key.  A single coordinate may be localized (inverted); its
-exponent is then allowed to go negative.
+at once.  Coefficients are integer (or Fraction) parts throughout, in the
+{q-exponent: n} form `TermSum` stores; only `straighten_word` and
+`_term_mul` return scalars.  A single coordinate may be localized
+(inverted); its exponent is then allowed to go negative.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import ONE, LaurentScalar, _norm_coeff, lam_power
+from .coeff import ONE, LaurentScalar, lam_power
 from .torus import (
     Coord,
     EMPTY_KEY,
@@ -34,6 +35,7 @@ from .torus import (
     Shape,
     TermSum,
     mono_key,
+    to_scalar,
 )
 
 
@@ -262,25 +264,20 @@ def _fold(rs: Coord, terms: dict, letters) -> dict:
     return terms
 
 
-def _q_parts(parts: dict) -> dict[int, int]:
-    """{q-exponent: n} of the sum of n q^a (q - q^{-1})^b over {(a, b): n};
-    zero sums are kept."""
-    powers: dict[int, int] = {}
-    for (qa, lb), n in parts.items():
-        if n:
-            for p, m in lam_power(lb).terms:
-                powers[qa + p] = powers.get(qa + p, 0) + n * m
-    return powers
-
-
-def _scalars(terms: dict) -> dict[MonoKey, LaurentScalar]:
-    """One LaurentScalar per key from its {(a, b): n} parts; zeros dropped."""
-    result = {}
+def _collapse(terms: dict) -> dict:
+    """{key: {q-exponent: n}} of {key: {(a, b): n}}, each part standing for
+    n q^a (q - q^{-1})^b; zero parts and keys left with none are dropped."""
+    out = {}
     for key, parts in terms.items():
-        c = tuple(sorted((p, _norm_coeff(n)) for p, n in _q_parts(parts).items() if n))
-        if c:
-            result[key] = LaurentScalar._raw(c)
-    return result
+        powers: dict = {}
+        for (qa, lb), n in parts.items():
+            if n:
+                for p, m in lam_power(lb).terms:
+                    powers[qa + p] = powers.get(qa + p, 0) + n * m
+        powers = {p: n for p, n in powers.items() if n}
+        if powers:
+            out[key] = powers
+    return out
 
 
 def straighten_word(rs: Coord, loc: Coord | None, word):
@@ -300,13 +297,15 @@ def straighten_word(rs: Coord, loc: Coord | None, word):
             raise ValueError(f"letter {(i, j, e)}: exponent must be 1 or -1")
         if e < 0 and (i, j) != loc:
             raise ValueError(f"letter {(i, j, e)}: inverted outside localization {loc}")
-    return _scalars(_fold(rs, {EMPTY_KEY: {(0, 0): 1}}, word))
+    terms = _collapse(_fold(rs, {EMPTY_KEY: {(0, 0): 1}}, word))
+    return {key: to_scalar(parts) for key, parts in terms.items()}
 
 
 @lru_cache(maxsize=1 << 16)
 def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
     """Cached x^a x^b as (key, scalar) pairs, for the tests and layer tracer."""
-    return tuple(sorted(_scalars(_fold(rs, {a: {(0, 0): 1}}, _unit_letters(b))).items()))
+    terms = _collapse(_fold(rs, {a: {(0, 0): 1}}, _unit_letters(b)))
+    return tuple(sorted((key, to_scalar(parts)) for key, parts in terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +315,8 @@ def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
 class QmPoly(TermSum):
     """Element of the threshold-t algebra in lexicographic expression.
 
-    terms: {exponent key: scalar}, all exponents nonnegative except possibly
-    at the localized coordinate `loc` (None for the plain polynomial ring).
+    Exponents are nonnegative except possibly at the localized coordinate
+    `loc` (None for the plain polynomial ring).
     """
 
     __slots__ = ("threshold", "loc")
@@ -391,15 +390,15 @@ class QmPoly(TermSum):
     def __mul__(self, other):
         self._check_mate(other)
         rs = self.threshold.rs
-        left = {k: {(p, 0): n for p, n in c.terms} for k, c in self._terms.items()}
+        left = {k: {(p, 0): n for p, n in c.items()} for k, c in self._terms.items()}
         acc: dict = {}
         for k2, c2 in other._terms.items():
             for key, parts in _fold(rs, left, _unit_letters(k2)).items():
                 out = acc.setdefault(key, {})
                 for (qa, lb), n in parts.items():
-                    for p, m in c2.terms:
+                    for p, m in c2.items():
                         out[qa + p, lb] = out.get((qa + p, lb), 0) + n * m
-        return self._like(_scalars(acc))
+        return self._like(_collapse(acc))
 
     # -- order structure ------------------------------------------------------------
 
@@ -408,13 +407,17 @@ class QmPoly(TermSum):
         if not self._terms:
             raise ValueError("the zero element has no leading term")
         key = max(self._terms, key=_TermKey)
-        return key, self._terms[key]
+        return key, to_scalar(self._terms[key])
 
     # -- localization ----------------------------------------------------------------
 
     def with_loc(self, loc: Coord | None) -> "QmPoly":
         """Reinterpret in the (de)localized algebra; exponents must fit."""
-        return QmPoly(self.shape, self.threshold, self._terms, loc)
+        new = QmPoly(self.shape, self.threshold, (), loc)
+        for key in self._terms:
+            new._check_key(key)
+        new._terms = self._terms
+        return new
 
     def as_polynomial(self) -> "QmPoly":
         """Down-cast to the plain polynomial algebra.
@@ -440,16 +443,9 @@ class QmPoly(TermSum):
 
 
 def times_monomial(a: QmPoly, key: MonoKey) -> dict:
-    """The product a x^key as {key: {q-exponent: n}}, before any
-    LaurentScalar is built: the terms of a * x^key with each coefficient's
-    nonzero parts.  No key of the result is empty."""
-    left = {k: {(p, 0): n for p, n in c.terms} for k, c in a._terms.items()}
-    out = {}
-    for k, parts in _fold(a.threshold.rs, left, _unit_letters(key)).items():
-        powers = {p: n for p, n in _q_parts(parts).items() if n}
-        if powers:
-            out[k] = powers
-    return out
+    """The product a x^key in the parts format of `TermSum._terms`."""
+    left = {k: {(p, 0): n for p, n in c.items()} for k, c in a._terms.items()}
+    return _collapse(_fold(a.threshold.rs, left, _unit_letters(key)))
 
 
 def swap_adjacent(shape: Shape, t, a: Coord, b: Coord) -> QmPoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .coeff import ONE, ZERO, LaurentScalar, _norm_coeff, q_power
+from .coeff import ONE, LaurentScalar, _norm_coeff, q_power
 
 Coord = tuple[int, int]
 MonoKey = tuple[tuple[int, int, int], ...]
@@ -160,9 +160,36 @@ def monomial_inverse(a: MonoKey) -> tuple[int, MonoKey]:
 # sparse term sums
 
 
+def add_parts(acc: dict, key, parts, scale) -> None:
+    """acc[key] += parts * scale, on the {q-exponent: n} parts of a term
+    sum; parts and scale are given as (q-exponent, n) pairs with no zero n.
+    Zero parts are dropped, and so is a key left with none."""
+    out = acc.get(key)
+    if out is None:
+        out = acc[key] = {}
+    for p, m in parts:
+        for sp, sn in scale:
+            v = out.get(p + sp, 0) + m * sn
+            if v:
+                out[p + sp] = v
+            else:
+                del out[p + sp]
+    if not out:
+        del acc[key]
+
+
+def to_scalar(parts: dict) -> LaurentScalar:
+    """The LaurentScalar of nonzero {q-exponent: n} parts."""
+    return LaurentScalar._raw(tuple(sorted((p, _norm_coeff(n)) for p, n in parts.items())))
+
+
 class TermSum:
-    """Finite sum {exponent key: LaurentScalar} in canonical form: no zero
-    coefficients, each key once.
+    """Finite sum of n q^c t^N (or x^N) in canonical form: `_terms` maps
+    each exponent key to the parts of its coefficient, {q-exponent: n} with
+    n an int or Fraction, no zero n and no empty inner dict.  Term loops
+    merge parts with `add_parts`; LaurentScalars are built only where
+    callers see them (`terms`, `repr`, JSON).  Parts are never mutated once
+    an element holds them, so results may share them with operands.
 
     The arithmetic that does not depend on the algebra lives here.  A
     subclass names its algebra: it sets its attributes, validates keys in
@@ -178,21 +205,18 @@ class TermSum:
         """Canonicalize (key, coeff) pairs or a dict into `_terms`."""
         if isinstance(terms, dict):
             terms = terms.items()
-        acc: dict[MonoKey, LaurentScalar] = {}
+        acc: dict = {}
         for key, coeff in terms:
             if not isinstance(coeff, LaurentScalar):
                 coeff = LaurentScalar.from_int(coeff)
             self._check_key(key)
-            s = acc.get(key, ZERO) + coeff
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+            add_parts(acc, key, coeff.terms, ONE.terms)
         self._terms = acc
 
     @property
     def terms(self) -> dict:
-        return self._terms
+        """{key: LaurentScalar}, built afresh on each read."""
+        return {key: to_scalar(parts) for key, parts in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -204,21 +228,17 @@ class TermSum:
         return bool(self._terms)
 
     def sorted_terms(self):
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
 
     def __add__(self, other):
         self._check_mate(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, ZERO) + c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
+        acc = {key: dict(parts) for key, parts in self._terms.items()}
+        for key, parts in other._terms.items():
+            add_parts(acc, key, parts.items(), ONE.terms)
         return self._like(acc)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         self._check_mate(other)
@@ -227,9 +247,10 @@ class TermSum:
     def scale(self, coeff):
         if not isinstance(coeff, LaurentScalar):
             coeff = LaurentScalar.from_int(coeff)
-        if coeff.is_zero():
-            return self._like({})
-        return self._like({k: c * coeff for k, c in self._terms.items()})
+        acc: dict = {}
+        for key, parts in self._terms.items():
+            add_parts(acc, key, parts.items(), coeff.terms)
+        return self._like(acc)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -237,7 +258,7 @@ class TermSum:
         return self._algebra() == other._algebra() and self._terms == other._terms
 
     def __hash__(self):
-        return hash((*self._algebra(), tuple(sorted(self._terms.items()))))
+        return hash((*self._algebra(), tuple(self.sorted_terms())))
 
     def _terms_json(self) -> list:
         return [
@@ -301,10 +322,7 @@ class TorusElement(TermSum):
             raise ValueError("shape mismatch")
 
     def _like(self, terms: dict) -> "TorusElement":
-        new = object.__new__(TorusElement)
-        new.shape = self.shape
-        new._terms = terms
-        return new
+        return TorusElement._raw(self.shape, terms)
 
     def _algebra(self) -> tuple:
         return (self.shape,)
@@ -319,12 +337,11 @@ class TorusElement(TermSum):
     @classmethod
     def _from_counts(cls, shape, counts: dict) -> "TorusElement":
         """The sum of n q^c t^N over {(N, c): n}, zero n dropped."""
-        powers: dict = {}
+        terms: dict = {}
         for (key, qexp), n in counts.items():
             if n:
-                powers.setdefault(key, []).append((qexp, _norm_coeff(n)))
-        scalars = {k: LaurentScalar._raw(tuple(sorted(p))) for k, p in powers.items()}
-        return cls._raw(shape, scalars)
+                terms.setdefault(key, {})[qexp] = n
+        return cls._raw(shape, terms)
 
     @classmethod
     def zero(cls, shape: Shape) -> "TorusElement":
@@ -332,7 +349,7 @@ class TorusElement(TermSum):
 
     @classmethod
     def one(cls, shape: Shape) -> "TorusElement":
-        return cls._raw(shape, {EMPTY_KEY: ONE})
+        return cls._raw(shape, {EMPTY_KEY: {0: 1}})
 
     @classmethod
     def monomial(cls, shape: Shape, key: MonoKey, coeff=ONE) -> "TorusElement":
@@ -340,22 +357,18 @@ class TorusElement(TermSum):
 
     def __mul__(self, other):
         self._check_mate(other)
-        acc: dict[MonoKey, LaurentScalar] = {}
+        acc: dict = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 e, k = monomial_mul(k1, k2)
-                c = c1 * c2 * q_power(e)
-                s = acc.get(k, ZERO) + c
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
+                add_parts(acc, k, c1.items(), [(p + e, n) for p, n in c2.items()])
         return self._like(acc)
 
     def as_monomial(self):
         """(key, coeff) if this is a single term, else None."""
         if len(self._terms) == 1:
-            return next(iter(self._terms.items()))
+            ((key, parts),) = self._terms.items()
+            return key, to_scalar(parts)
         return None
 
     def inverse(self) -> "TorusElement":
@@ -365,7 +378,7 @@ class TorusElement(TermSum):
             raise ValueError("only monomial torus elements are invertible here")
         key, coeff = m
         e, nk = monomial_inverse(key)
-        return self._like({nk: coeff.inverse() * q_power(e)})
+        return self._like({nk: dict((coeff.inverse() * q_power(e)).terms)})
 
     def to_json(self) -> list:
         return self._terms_json()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coeff import q_power
-from .torus import Shape, mono_key
+from .torus import Shape, TorusElement, mono_key
 from .straighten import QmPoly
 from .cauchon import (
     Diagram,
@@ -31,7 +31,6 @@ from .minors import (
     _monomial_product,
     dd_backward,
     dd_forward,
-    lindstrom_eval,
     minor_poly,
     sigma,
 )
@@ -187,6 +186,9 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
             ]
             for d in enumerate_cauchon_diagrams(shape):
                 base = HPrimeHandle(d, 1)
+                # thresholds that select the same families share one systems
+                # tuple: its turn keys are compared once, keyed by the families
+                distinct: dict = {}
                 for t in range(1, shape.mn + 1):
                     h = base.at(t)
                     for spec in specs:
@@ -194,13 +196,16 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                             continue
                         report.checks += 1
                         via_sigma = sigma(h, minor_poly(shape, t, spec))
-                        via_paths = lindstrom_eval(h, spec)
                         systems = enumerate_vdps(h.graph, t, spec.I, spec.J)
-                        keys = [system_turn_key(h.graph, s) for s in systems]
+                        via_paths = TorusElement._from_counts(shape, systems.weights)
+                        families = tuple(f.key for f in systems.families)
+                        if families not in distinct:
+                            keys = [system_turn_key(h.graph, s) for s in systems]
+                            distinct[families] = len(set(keys)) == len(keys)
                         ok = (
                             via_sigma == via_paths
                             and via_paths.is_zero() == (not systems)
-                            and len(set(keys)) == len(keys)
+                            and distinct[families]
                         )
                         if not ok:
                             report.fail(

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: literal adjacent transpositions for
-torus normal ordering, a full 2^(mn) filter for diagram enumeration, a
+torus normal ordering, the torus product with one scalar per key, a full
+2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
 quantum minor, divisibility through a dense lookup, a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
@@ -42,7 +43,9 @@ from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, lam_power, q_power
 from qmpaths.groebner import ReductionStep
 from qmpaths.minors import MinorSpec, minor_in_kernel
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
-from qmpaths.torus import TorusElement, key_entry, mono_key, pair_commutation
+from qmpaths.torus import (
+    TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
+)
 from qmpaths.verify import Report, _run, _shapes
 
 
@@ -85,6 +88,17 @@ def oracle_word_element(shape, word):
     """TorusElement of a generator word, via the transposition oracle."""
     qexp, key = oracle_sort_word(word)
     return TorusElement.monomial(shape, key, q_power(qexp))
+
+
+def oracle_torus_mul(a, b):
+    """a * b with one LaurentScalar per key: c1 c2 q^e added at the key of
+    t^k1 t^k2 = q^e t^k, for every pair of terms."""
+    acc = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            e, k = monomial_mul(k1, k2)
+            acc[k] = acc.get(k, ZERO) + c1 * c2 * q_power(e)
+    return TorusElement(a.shape, acc)
 
 
 def oracle_is_cauchon(black, m, n):
@@ -525,7 +539,7 @@ def oracle_reduce(a, basis):
             (i, j, eo - key_entry(e.lt_key, (i, j)))
             for i, j, eo in lt_key
         )
-        prod = e.poly * a._like({cof: ONE})
+        prod = e.poly * QmPoly.monomial(a.shape, a.threshold, cof)
         pk, pc = prod.leading_term()
         if pk != lt_key:
             raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
@@ -543,5 +557,6 @@ def oracle_apply_trace(basis, trace):
     total = QmPoly.zero(shape, th)
     for step in trace:
         e = basis.elements[step.index]
-        total = total + (e.poly * total._like({step.cofactor: ONE})).scale(step.scale)
+        prod = e.poly * QmPoly.monomial(shape, th, step.cofactor)
+        total = total + prod.scale(step.scale)
     return total

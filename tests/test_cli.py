@@ -258,3 +258,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the 4x4 listing is far larger than a pipe buffer, so the writer is
+    # still printing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmpaths", "diagrams", "4", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(qmpaths.__file__).resolve().parents[1],
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err

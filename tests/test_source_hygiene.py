@@ -89,3 +89,17 @@ def test_no_library_code_only_tests_use():
     assert {n: w for n, w in unused.items() if n not in TEST_ONLY} == {}
     # an allowlist entry that is gone or referenced again is stale
     assert set(TEST_ONLY) <= set(unused)
+
+
+def test_scalars_are_built_at_the_boundary():
+    # term sums store integer q-parts; a LaurentScalar is assembled from
+    # canonical parts only in coeff.py itself and at torus.py's boundary
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_raw"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "LaurentScalar"):
+                found.add(path.name)
+    assert found <= {"coeff.py", "torus.py"}
+    assert "torus.py" in found

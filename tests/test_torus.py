@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,7 @@ from qmpaths.torus import (
     t_gen,
 )
 
-from oracles import oracle_monomial_mul
+from oracles import oracle_monomial_mul, oracle_torus_mul, random_coeff
 
 coords23 = st.tuples(st.integers(1, 2), st.integers(1, 3))
 keys23 = st.builds(
@@ -167,3 +170,28 @@ def test_json_roundtrip(key):
     sh = Shape(2, 3)
     elt = TorusElement.monomial(sh, key, q_power(2) - ONE)
     assert TorusElement.from_json(sh, elt.to_json()) == elt
+
+
+def _random_key(rng, shape):
+    return mono_key(
+        (rng.randint(1, shape.m), rng.randint(1, shape.n), rng.randint(-2, 2))
+        for _ in range(rng.randint(0, 3))
+    )
+
+
+def test_torus_mul_matches_the_scalar_per_key_oracle():
+    rng = random.Random(11)
+    sh = Shape(2, 3)
+    for _ in range(300):
+        a, b = (
+            TorusElement(sh, [(_random_key(rng, sh), random_coeff(rng))
+                              for _ in range(rng.randint(0, 4))])
+            for _ in range(2)
+        )
+        assert a * b == oracle_torus_mul(a, b)
+        # a monomial with a Fraction coefficient and its inverse
+        c = Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))
+        m = TorusElement.monomial(sh, _random_key(rng, sh), q_power(rng.randint(-2, 2)) * c)
+        for x, y in ((m, m.inverse()), (m.inverse(), m), (m.inverse(), a)):
+            assert x * y == oracle_torus_mul(x, y)
+        assert m * m.inverse() == TorusElement.one(sh)

@@ -31,6 +31,14 @@ def test_lindstrom_2x2_report():
     assert rep.passed and rep.checks > 0
 
 
+def test_lindstrom_checks_turn_keys_behind_its_memo(monkeypatch):
+    # equal turn keys for every system: each family with two or more systems
+    # must fail, however often its shared systems tuple is met
+    monkeypatch.setattr(verify, "system_turn_key", lambda g, system: ())
+    rep = run_lindstrom(2, 3)
+    assert rep.failures and not rep.passed
+
+
 def test_ddalg_small_sample_reproducible():
     rep1 = run_ddalg(2, 2, samples=10, seed=42)
     rep2 = run_ddalg(2, 2, samples=10, seed=42)
