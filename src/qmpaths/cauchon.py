@@ -16,9 +16,9 @@ vertical-to-horizontal contribute t_{i,j}^{-1}, taken in path order.  The
 restricted family gamma(t; i, j) keeps the paths whose
 vertical-to-horizontal turns all sit at coordinates <= the t-th smallest
 coordinate (r, s).  The families are nested in t, and at t = mn gamma holds
-every row-i-to-column-j path, so each family is a filter over one walk of
-those paths that records, per path, its weight monomial and its largest
-vertical-to-horizontal turn.
+every row-i-to-column-j path, so each family is a filter over one search
+from row vertex i that records, per path, its weight monomial and its
+largest vertical-to-horizontal turn.
 """
 
 from __future__ import annotations
@@ -207,15 +207,16 @@ class CauchonGraph:
     """The directed grid graph of a Cauchon diagram, with its grid embedding.
 
     The graph also holds the evaluation data derived from it, built on
-    first use: per (i, j), every path from row i to column j with its vertex
-    set, weight monomial and largest reflected-L turn; per (threshold
+    first use: per row i, every path from row i to each column with its
+    vertex set, weight monomial and largest reflected-L turn; per (threshold
     coordinate, i, j), the restricted family read off that list; and per
     (threshold coordinate, I, J), the vertex-disjoint path systems.  A
     family changes only at a threshold that passes one of its paths' turn
     bounds, so one family object is built per (i, j, largest bound at or
     below the threshold) and stored under every threshold that selects it,
-    and one system tuple per tuple of families.  Those objects are shared
-    by every caller and must not be mutated.
+    and one system tuple per tuple of families.  `minors.sigma` keeps its
+    generator images here per threshold coordinate.  Those objects are
+    shared by every caller and must not be mutated.
     """
 
     def __init__(self, diagram: Diagram):
@@ -257,11 +258,12 @@ class CauchonGraph:
                     add(white_vertex(i, j), col_vertex(j))
                     break
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
-        self._paths_cache: dict = {}
+        self._paths_cache: dict = {}  # row i -> path records per column
         self._gamma_cache: dict = {}
         self._vdps_cache: dict = {}
         self._family_cache: dict = {}  # (i, j, bound) -> _Family
         self._systems_cache: dict = {}  # family keys -> systems
+        self._images: dict = {}  # threshold coordinate -> sigma's images
 
     def out_edges(self, v: Vertex) -> tuple:
         return self.out.get(v, ())
@@ -311,29 +313,6 @@ def path_turns(g: CauchonGraph, path) -> list:
         elif din == "v" and dout == "h":
             turns.append(((v[1], v[2]), "mirror"))
     return turns
-
-
-def enumerate_paths_between(g: CauchonGraph, src: Vertex, dst: Vertex):
-    """All directed paths src -> dst, in lexicographic order of their vertex
-    sequences.
-
-    The order is load-bearing: of two paths with the same ends, the one
-    weakly above the other comes first, which `vdps_supremum` and
-    `vdps_infimum` rely on.
-    """
-    paths = []
-    stack = [(src,)]
-    # out-neighbor lists are sorted, and a stack that pushes in
-    # reverse-sorted order pops candidates in lexicographic order
-    while stack:
-        path = stack.pop()
-        v = path[-1]
-        if v == dst:
-            paths.append(path)
-            continue
-        for w in reversed(g.out_edges(v)):
-            stack.append(path + (w,))
-    return tuple(paths)
 
 
 def _turn_monomial(turns, qexp: int = 0, mono=EMPTY_KEY) -> tuple:
@@ -387,21 +366,54 @@ class _Family(tuple):
         return TorusElement._from_counts(self.shape, self.weights)
 
 
+def _row_paths(g: CauchonGraph, i: int) -> tuple:
+    """Per column j, at index j - 1, the records of every path row i ->
+    column j (see `_row_column_paths`): one search from row vertex i,
+    cached on the graph per row.
+
+    The search carries each partial path's last edge direction, weight
+    monomial and largest reflected-L turn, so each turn is read once, where
+    the path takes it.  Along a row-to-column path the turns alternate from
+    horizontal-in/vertical-out, so such a turn at (a, b) multiplies the
+    weight by t_{a,b} and a reflected-L turn there by t_{a,b}^{-1}, as in
+    `_turn_monomial`; between two reflected-L turns the path runs south, so
+    the last one taken is the largest.  Out-neighbor lists are sorted and
+    pushed in reverse, so paths pop in lexicographic order of their vertex
+    sequences; the order is load-bearing (see `vdps_supremum`).
+    """
+    columns = g._paths_cache.get(i)
+    if columns is None:
+        columns = [[] for _ in range(g.shape.n)]
+        out = g.out
+        # the row vertex's one edge runs west: no turn there
+        stack = [((row_vertex(i),), "h", 0, EMPTY_KEY, (0, 0))]
+        while stack:
+            path, din, qexp, mono, bound = stack.pop()
+            v = path[-1]
+            if v[0] == "c":
+                columns[v[1] - 1].append((path, frozenset(path), qexp, mono, bound))
+                continue
+            for w in reversed(out.get(v, ())):
+                dout = "h" if w[0] == "w" and w[1] == v[1] else "v"
+                if dout == din:
+                    stack.append((path + (w,), din, qexp, mono, bound))
+                elif dout == "v":
+                    c, key = monomial_mul(mono, ((v[1], v[2], 1),))
+                    stack.append((path + (w,), dout, qexp + c, key, bound))
+                else:  # a reflected-L turn, below every earlier one
+                    c, key = monomial_mul(mono, ((v[1], v[2], -1),))
+                    stack.append((path + (w,), dout, qexp + c, key, (v[1], v[2])))
+        columns = g._paths_cache[i] = tuple(map(tuple, columns))
+    return columns
+
+
 def _row_column_paths(g: CauchonGraph, i: int, j: int) -> tuple:
     """(path, vertex set, q-exponent, key, largest reflected-L turn or
-    (0, 0)) for every path row i -> column j, in enumeration order; cached
-    on the graph per (i, j)."""
-    records = g._paths_cache.get((i, j))
-    if records is None:
-        if not 1 <= i <= g.shape.m or not 1 <= j <= g.shape.n:
-            raise ValueError("row or column index out of range")
-        records = []
-        for path in enumerate_paths_between(g, row_vertex(i), col_vertex(j)):
-            turns = path_turns(g, path)
-            bound = max((c for c, k in turns if k == "mirror"), default=(0, 0))
-            records.append((path, frozenset(path), *_turn_monomial(turns), bound))
-        records = g._paths_cache[(i, j)] = tuple(records)
-    return records
+    (0, 0)) for every path row i -> column j, in lexicographic order of the
+    vertex sequences."""
+    if not 1 <= i <= g.shape.m or not 1 <= j <= g.shape.n:
+        raise ValueError("row or column index out of range")
+    return _row_paths(g, i)[j - 1]
 
 
 def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):

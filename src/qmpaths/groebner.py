@@ -15,14 +15,15 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar, _norm_coeff
-from .torus import MonoKey, add_parts, mono_key, to_scalar
+from .torus import Coord, MonoKey, Shape, add_parts, mono_key, to_scalar
 from .cauchon import disjoint_pick_exists, enumerate_gamma
 from .straighten import (
     QmPoly,
+    Threshold,
     count_terms_in_grade,
     grade,
     term_divides,
@@ -108,6 +109,30 @@ class GroebnerBasis:
         return GroebnerBasis(self.handle, kept)
 
 
+@lru_cache(maxsize=1 << 8)
+def _minor_candidates(rs: Coord, n: int) -> tuple:
+    """(spec, diagonal coordinates, candidate indices of the k diagonal
+    (k-1)-subminors) of every minor on columns 1..n with maximum coordinate
+    at most rs, in (k, I, J) order.  Each subminor's maximum coordinate is
+    at most its minor's, so it is a candidate one size down.  Built once
+    per (threshold coordinate, n) and shared by every diagram."""
+    r, s = rs
+    rows, cols = range(1, r + 1), range(1, n + 1)
+    index: dict = {}
+    out = []
+    for k in range(1, min(r, n) + 1):
+        for I in combinations(rows, k):
+            for J in combinations(cols, k):
+                if I[-1] == r and J[-1] > s:
+                    continue
+                subs = () if k == 1 else tuple(
+                    index[I[:a] + I[a + 1 :], J[:a] + J[a + 1 :]] for a in range(k)
+                )
+                index[I, J] = len(out)
+                out.append((MinorSpec(I, J), tuple(zip(I, J)), subs))
+    return tuple(out)
+
+
 def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
     """Generating data of the kernel at (B, t).
 
@@ -118,10 +143,10 @@ def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
 
     Such a minor lies in the kernel exactly when its family of
     vertex-disjoint path systems is empty (`minor_in_kernel`).  One sweep
-    visits the minors in (k, I, J) order.  A k-minor with a diagonal
-    (k-1)-subminor in the kernel is in the kernel without a search: each
-    restricted family gamma(t; i, j) depends on (i, j) alone, and a
-    sub-system of a vertex-disjoint system is still vertex-disjoint
+    visits the minors in (k, I, J) order (`_minor_candidates`).  A k-minor
+    with a diagonal (k-1)-subminor in the kernel is in the kernel without a
+    search: each restricted family gamma(t; i, j) depends on (i, j) alone,
+    and a sub-system of a vertex-disjoint system is still vertex-disjoint
     (Lindstrom 1973, Gessel-Viennot 1985), so dropping one index pair from
     a disjoint system for [I|J] would give one for the subminor, whose
     family is empty.  The subminor's maximum coordinate is at most the
@@ -132,34 +157,32 @@ def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
     the (i, j) families, each read once per call.
     """
     graph, t = handle.graph, handle.t
-    r, s = rs = handle.rs
-    rows = range(1, r + 1)
-    cols = range(1, handle.shape.n + 1)
+    rs = handle.rs
+    n = handle.shape.n
     # every diagonal coordinate of a minor with maximum coordinate <= rs is <= rs
     vsets = {
         (i, j): enumerate_gamma(graph, t, i, j).vertex_sets
-        for i in rows for j in cols if (i, j) <= rs
+        for i in range(1, rs[0] + 1) for j in range(1, n + 1) if (i, j) <= rs
     }
     minors = []
-    below: set = set()  # (I, J) of the kernel minors one size down
-    for k in range(1, min(r, len(cols)) + 1):
-        found = set()
-        for I in combinations(rows, k):
-            for J in combinations(cols, k):
-                if I[-1] == r and J[-1] > s:
-                    continue
-                inherited = k > 1 and any(
-                    (I[:a] + I[a + 1 :], J[:a] + J[a + 1 :]) in below
-                    for a in range(k)
-                )
-                if inherited or not disjoint_pick_exists(
-                    [vsets[c] for c in zip(I, J)]
-                ):
-                    found.add((I, J))
-                    minors.append(MinorSpec(I, J))
-        below = found
+    in_kernel = []  # per candidate, in sweep order
+    for spec, coords, subs in _minor_candidates(rs, n):
+        hit = any(in_kernel[x] for x in subs) or not disjoint_pick_exists(
+            [vsets[c] for c in coords]
+        )
+        in_kernel.append(hit)
+        if hit:
+            minors.append(spec)
     bare = sorted(c for c in handle.diagram.black if c > rs)
     return minors, bare
+
+
+@lru_cache(maxsize=1 << 12)
+def _minor_element(shape: Shape, th: Threshold, spec: MinorSpec) -> BasisElement:
+    """The basis element of a minor: its memoized polynomial and leading
+    key, taken once per memoized minor and shared by every basis."""
+    poly = minor_poly(shape, th, spec)
+    return BasisElement(spec, poly, max(poly._terms, key=_lex_key))
 
 
 def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
@@ -169,14 +192,12 @@ def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
     """
     minors, bare = hprime_minors(handle)
     shape, t = handle.shape, handle.threshold
-    elements = []
-    for spec in minors:
-        poly = minor_poly(shape, t, spec)
-        elements.append(BasisElement(spec, poly, poly.leading_term()[0]))
+    elements = [_minor_element(shape, t, spec) for spec in minors]
     for coord in bare:
         spec = MinorSpec.of([coord[0]], [coord[1]])
         poly = QmPoly.generator(shape, t, coord)
-        elements.append(BasisElement(spec, poly, poly.leading_term()[0], bare=True))
+        lt_key = max(poly._terms, key=_lex_key)
+        elements.append(BasisElement(spec, poly, lt_key, bare=True))
     if check:
         for e in elements:
             if not kernel_member(handle, e.poly):
@@ -203,12 +224,10 @@ def minimal_groebner(handle: HPrimeHandle) -> list:
 
 def minimal_groebner_basis(handle: HPrimeHandle) -> GroebnerBasis:
     """GroebnerBasis view of the minimal minor list (top threshold only)."""
-    shape, t = handle.shape, handle.t
-    elements = []
-    for spec in minimal_groebner(handle):
-        poly = minor_poly(shape, t, spec)
-        elements.append(BasisElement(spec, poly, poly.leading_term()[0]))
-    return GroebnerBasis(handle, tuple(elements))
+    shape, t = handle.shape, handle.threshold
+    return GroebnerBasis(handle, tuple(
+        _minor_element(shape, t, spec) for spec in minimal_groebner(handle)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +324,7 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
         if len(prod[lt_key]) != 1:
             raise AssertionError("leading coefficient of g * x^c is not a unit (bug)")
         ((pp, pn),) = prod[lt_key].items()
-        inverse = _norm_coeff(Fraction(1, 1) / pn)
+        inverse = int(pn) if pn in (1, -1) else _norm_coeff(Fraction(1, 1) / pn)
         scale = {p - pp: m * inverse for p, m in work[lt_key].items()}
         minus = [(p, -n) for p, n in scale.items()]
         for key, powers in prod.items():
@@ -469,10 +488,10 @@ def groebner_check(
         if not kernel_member(handle, a):
             witness("sample-not-in-kernel", a)
             continue
-        if _divisor(basis, max(a._terms, key=_lex_key)) is None:
+        rem, trace = reduce(a, basis)
+        if not trace:  # reduce stops at once when no leading term divides lt(a)
             witness("leading-term-not-divisible", a)
             continue
-        rem, trace = reduce(a, basis)
         if not rem.is_zero():
             witness("nonzero-remainder", a, detail=repr(rem))
             continue

@@ -204,14 +204,18 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     Monomials are evaluated left-to-right in lexicographic generator order,
     on the path sums' `weights`, into one TorusElement at the end.
     Localized input is accepted when the localized coordinate is white, so
-    that its image is an invertible monomial.
+    that its image is an invertible monomial.  The images are kept on the
+    graph per threshold coordinate, so each (i, j, +-1) is looked up once
+    per graph and threshold, across calls and handles.
     """
     if a.shape != handle.shape:
         raise ValueError("shape mismatch")
     if a.threshold != handle.threshold:
         raise ValueError("threshold mismatch")
     graph, t = handle.graph, handle.t
-    images: dict = {}  # (i, j, +-1) -> image, looked up once per call
+    images = graph._images.get(handle.rs)  # (i, j, +-1) -> image
+    if images is None:
+        images = graph._images[handle.rs] = {}
 
     def image(i, j, e):
         out = images.get((i, j, e))

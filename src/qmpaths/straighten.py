@@ -443,7 +443,10 @@ class QmPoly(TermSum):
 
 
 def times_monomial(a: QmPoly, key: MonoKey) -> dict:
-    """The product a x^key in the parts format of `TermSum._terms`."""
+    """The product a x^key in the parts format of `TermSum._terms`; for the
+    empty key, a's own parts, shared and not to be mutated."""
+    if not key:
+        return a._terms
     left = {k: {(p, 0): n for p, n in c.items()} for k, c in a._terms.items()}
     return _collapse(_fold(a.threshold.rs, left, _unit_letters(key)))
 

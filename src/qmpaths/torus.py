@@ -15,7 +15,7 @@ adjacent transpositions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coeff import ONE, LaurentScalar, _norm_coeff, q_power
 
@@ -59,12 +59,19 @@ class Shape:
         return coord
 
     def threshold_coord(self, t: int) -> Coord:
-        """The t-th smallest coordinate, t in [mn]."""
+        """The t-th smallest coordinate, t in [mn], read from a table built
+        on first use."""
         if t.__class__ is bool:
             raise TypeError("threshold must be an integer, not bool")
-        if not 1 <= t <= self.mn:
+        rs = self._threshold_coords.get(t)
+        if rs is None:
             raise ValueError(f"threshold {t} outside [1, {self.mn}]")
-        return ((t - 1) // self.n + 1, (t - 1) % self.n + 1)
+        return rs
+
+    @cached_property
+    def _threshold_coords(self) -> dict:
+        n = self.n
+        return {t: ((t - 1) // n + 1, (t - 1) % n + 1) for t in range(1, self.mn + 1)}
 
     def coord_position(self, coord: Coord) -> int:
         """Inverse of threshold_coord."""

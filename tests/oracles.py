@@ -4,7 +4,9 @@ Everything here is deliberately naive: literal adjacent transpositions for
 torus normal ordering, the torus product with one scalar per key, a full
 2^(mn) filter for diagram enumeration, a
 from-scratch statement of the diagram condition, the permutation sum of a
-quantum minor, divisibility through a dense lookup, a restricted path
+quantum minor, divisibility through a dense lookup, the paths between two
+vertices by a DFS that extends every partial path (one search per pair of
+ends; the library searches once per row), a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
 it is taken, the supremum and infimum of a path-system family as a fold of
 segment-by-segment path combinations over every system, the derivation
@@ -175,6 +177,24 @@ def oracle_gamma(g, t, i, j):
                 if (not horizontal(path[-2], v) and horizontal(v, w)
                         and (v[1], v[2]) > rs):
                     continue
+            stack.append(path + (w,))
+    return tuple(paths)
+
+
+def enumerate_paths_between(g, src, dst):
+    """All directed paths src -> dst, in lexicographic order of their vertex
+    sequences, by a DFS that extends every partial path from src."""
+    paths = []
+    stack = [(src,)]
+    # out-neighbor lists are sorted, and a stack that pushes in
+    # reverse-sorted order pops candidates in lexicographic order
+    while stack:
+        path = stack.pop()
+        v = path[-1]
+        if v == dst:
+            paths.append(path)
+            continue
+        for w in reversed(g.out_edges(v)):
             stack.append(path + (w,))
     return tuple(paths)
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from qmpaths.cauchon import (
     col_vertex,
     enumerate_cauchon_diagrams,
     enumerate_gamma,
-    enumerate_paths_between,
     enumerate_vdps,
     export_dot,
     generator,
@@ -22,6 +22,8 @@ from qmpaths.cauchon import (
     path_weight,
     path_weight_by_edges,
     row_vertex,
+    _row_column_paths,
+    _turn_monomial,
     system_turn_key,
     system_weight,
     vdps_exists,
@@ -29,8 +31,11 @@ from qmpaths.cauchon import (
     vdps_supremum,
     white_vertex,
 )
+from qmpaths.minors import HPrimeHandle
+from qmpaths.straighten import Threshold
 
 from oracles import (
+    enumerate_paths_between,
     oracle_all_cauchon_sets,
     oracle_gamma,
     oracle_path_in_gamma,
@@ -181,6 +186,70 @@ def test_gamma_equals_pruning_dfs_oracle(m, n):
         for t in range(1, m * n + 1):
             for i, j in sh.coords():
                 assert enumerate_gamma(g, t, i, j) == oracle_gamma(g, t, i, j)
+
+
+def _seeded_cauchon_diagrams(shape, count, seed):
+    # each square black with probability 0.3, redrawn until Cauchon
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = Diagram.of(shape, [c for c in shape.coords() if rng.random() < 0.3])
+        if is_cauchon(d):
+            out.append(d)
+    return out
+
+
+def _path_oracle_diagrams():
+    for m, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]:
+        yield from enumerate_cauchon_diagrams(Shape(m, n))
+    yield from _seeded_cauchon_diagrams(Shape(4, 4), 20, 41)
+    yield from _seeded_cauchon_diagrams(Shape(4, 5), 20, 45)
+
+
+def test_row_search_equals_path_oracle():
+    # one search per row gives, per column, the oracle's paths in order,
+    # each with the turn product of its turns and its largest reflected-L
+    # turn; every diagram up to 3x4 and 40 seeded 4x4 and 4x5 ones
+    count = 0
+    for d in _path_oracle_diagrams():
+        g = build_graph(d)
+        for i, j in d.shape.coords():
+            want = []
+            for path in enumerate_paths_between(g, R(i), C(j)):
+                turns = path_turns(g, path)
+                bound = max((c for c, k in turns if k == "mirror"), default=(0, 0))
+                want.append((path, frozenset(path), *_turn_monomial(turns), bound))
+            assert _row_column_paths(g, i, j) == tuple(want)
+            count += len(want)
+    assert count == 13143
+    g = build_graph(Diagram.all_white(Shape(2, 3)))
+    for i, j in [(0, 1), (3, 1), (1, 0), (1, 4)]:
+        with pytest.raises(ValueError, match="out of range"):
+            _row_column_paths(g, i, j)
+
+
+@pytest.mark.parametrize("t, error", [(True, TypeError), (False, TypeError),
+                                      (0, ValueError), (17, ValueError)])
+def test_threshold_table_keeps_its_errors(grid_4x4_diagram, t, error):
+    # every threshold lookup reads one table per shape; with the table
+    # built, bool is still refused and so is a threshold outside [1, mn]
+    sh = grid_4x4_diagram.shape
+    h = HPrimeHandle(grid_4x4_diagram, sh.mn)
+    g = h.graph
+    assert enumerate_gamma(g, 1, 1, 2) is enumerate_gamma(g, 1, 1, 2)
+    assert Threshold.of(sh, 16).rs == sh.threshold_coord(16) == (4, 4)
+    calls = [
+        lambda: sh.threshold_coord(t),
+        lambda: Threshold.of(sh, t),
+        lambda: h.at(t),
+        lambda: enumerate_gamma(g, t, 1, 2),
+        lambda: enumerate_vdps(g, t, (1, 2), (2, 3)),
+        lambda: vdps_exists(g, t, (1, 2), (2, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(error):
+            call()
+    assert (True, 1, 2) not in g._gamma_cache
 
 
 def test_gamma_canonical_order(grid_4x4_diagram):

@@ -407,3 +407,43 @@ def test_dd_image_kernel_elements_reduce(shape23):
         assert rem.is_zero()
         checked += 1
     assert checked > 0
+
+
+def test_checks_leave_shared_parts_and_tables_intact():
+    # a check shares what it reads: memoized minors and basis elements, the
+    # parts of a product with the empty cofactor, the candidate lists of
+    # `hprime_minors` and sigma's images; after 30 seeded checks each one
+    # still equals a fresh build
+    from qmpaths.cauchon import build_graph, enumerate_gamma
+    from qmpaths.minors import _minor_poly, minor_poly
+
+    sh = Shape(4, 4)
+    rng = random.Random(12)
+    pool = [d for d in enumerate_cauchon_diagrams(sh) if 5 <= len(d.black) <= 7]
+    for d in rng.sample(pool, 30):
+        t = rng.randint(2, sh.mn)
+        h = HPrimeHandle(d, t)
+        assert groebner_check(h, samples=8, seed=rng.randrange(1 << 30)).passed
+        for handle in (h, h.at(t - 1)):
+            th = handle.threshold
+            for e in groebner_basis(handle, check=False).elements:
+                if e.bare:
+                    fresh = QmPoly.generator(sh, th, e.spec.diagonal_coords[0])
+                else:
+                    fresh = _minor_poly.__wrapped__(sh, th, e.spec)
+                    assert minor_poly(sh, th, e.spec) == fresh
+                assert e.poly == fresh
+                assert e.lt_key == fresh.leading_term()[0]
+            assert hprime_minors(handle) == oracle_hprime_minors(handle)
+        g = build_graph(d)
+        assert h.graph._images
+        for rs, images in h.graph._images.items():
+            for (i, j, e), image in images.items():
+                fam = enumerate_gamma(g, sh.coord_position(rs), i, j)
+                if e > 0:
+                    assert image == fam.weights
+                else:
+                    inverse = fam.generator.inverse()._terms
+                    assert image == {
+                        (k, p): n for k, c in inverse.items() for p, n in c.items()
+                    }

@@ -503,6 +503,8 @@ def test_lindstrom_eval_equals_system_weight_sum(m, n):
 
 
 def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
+    # the images are kept per graph and threshold: across calls, and across
+    # handles sharing the graph, each (i, j, sign) is looked up at most once
     sh = Shape(3, 3)
     h = HPrimeHandle(Diagram.all_white(sh), sh.mn)
     seen = []
@@ -512,18 +514,38 @@ def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
         return enumerate_gamma(g, t, i, j)
 
     monkeypatch.setattr(minors_module, "enumerate_gamma", counting)
-    a = QmPoly(sh, sh.mn, {
-        E((1, 1), (1, 1), (2, 2)): ONE,
-        E((1, 1), (2, 2), (3, 3)): ONE,
-        mono_key([(2, 2, 3), (3, 3, 1)]): ONE,
-    }, loc=(3, 3))
-    b = QmPoly(sh, sh.mn, {mono_key([(1, 1, 1), (3, 3, -2)]): ONE}, loc=(3, 3))
-    assert sigma(h, a) == oracle_sigma(h, a)
-    assert sorted(seen) == [(1, 1), (2, 2), (3, 3)]
-    seen.clear()
-    # x_{3,3} and its inverse are looked up separately
-    assert sigma(h, a + b) == oracle_sigma(h, a + b)
-    assert sorted(seen) == [(1, 1), (2, 2), (3, 3), (3, 3)]
+
+    def elements(t):
+        a = QmPoly(sh, t, {
+            E((1, 1), (1, 1), (2, 2)): ONE,
+            E((1, 1), (2, 2), (3, 3)): ONE,
+            mono_key([(2, 2, 3), (3, 3, 1)]): ONE,
+        }, loc=(3, 3))
+        b = QmPoly(sh, t, {mono_key([(1, 1, 1), (3, 3, -2)]): ONE}, loc=(3, 3))
+        return a, b
+
+    def looked_up(handle, poly):
+        seen.clear()
+        assert sigma(handle, poly) == oracle_sigma(handle, poly)
+        return sorted(seen)
+
+    a, b = elements(sh.mn)
+    assert looked_up(h, a) == [(1, 1), (2, 2), (3, 3)]
+    # only the inverse of x_{3,3} is new: a separate entry
+    assert looked_up(h, a + b) == [(3, 3)]
+    assert looked_up(h, a + b) == []
+    assert looked_up(h.at(sh.mn), a + b) == []
+    # another threshold on the same graph has images of its own
+    low = h.at(5)
+    a5, b5 = elements(5)
+    assert looked_up(low, a5 + b5) == [(1, 1), (2, 2), (3, 3), (3, 3)]
+    assert looked_up(h.at(5), a5) == []
+    assert looked_up(h, a) == []
+    # a black coordinate's inverse is refused on every call, never kept
+    black = HPrimeHandle(Diagram.of(sh, [(3, 1), (3, 2), (3, 3)]), sh.mn)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot invert"):
+            sigma(black, b)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
