@@ -355,11 +355,16 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
 
 class _Family(tuple):
     """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
-    `vertex_sets`, each path's weight monomial as `monomials`, {path:
-    (q-exponent, key)}, their weight sum as `weights`, {(key, q-exponent):
-    number of paths}, and as `key` the (i, j, bound) it is stored under on
-    its graph.  The weight sum as a TorusElement, `generator`, is built from
-    `weights` on first read."""
+    `vertex_sets`, their weight sum as `weights`, {(key, q-exponent):
+    number of paths}, their path records (see `_row_column_paths`) as
+    `records`, and as `key` the (i, j, bound) it is stored under on its
+    graph.  Built from those on first read: each path's weight monomial,
+    `monomials`, {path: (q-exponent, key)}, which only path systems read,
+    and the weight sum as a TorusElement, `generator`."""
+
+    @cached_property
+    def monomials(self) -> dict:
+        return {r[0]: (r[2], r[3]) for r in self.records}
 
     @cached_property
     def generator(self) -> TorusElement:
@@ -442,7 +447,7 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
             fam.shape = g.shape
             fam.key = (i, j, bound)
             fam.vertex_sets = tuple(r[1] for r in members)
-            fam.monomials = {r[0]: (r[2], r[3]) for r in members}
+            fam.records = members
             fam.weights = weights
         g._gamma_cache[(rs, i, j)] = fam
     return fam

@@ -231,14 +231,3 @@ Q_INV = q_power(-1)
 #: q - q^{-1}, the coefficient of every straightening correction term.
 LAM = Q - Q_INV
 
-
-_LAM_POWS = [ONE, LAM]
-
-
-def lam_power(e: int) -> LaurentScalar:
-    """(q - q^{-1})^e for e >= 0, cached."""
-    if e < 0:
-        raise ValueError(f"lam_power({e}): the exponent must be at least 0")
-    while len(_LAM_POWS) <= e:
-        _LAM_POWS.append(_LAM_POWS[-1] * LAM)
-    return _LAM_POWS[e]

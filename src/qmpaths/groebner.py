@@ -291,7 +291,9 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     each product g * x^c comes from `times_monomial` in that form, and a
     LaurentScalar is built only for each step's scale.
     """
-    if a.shape != basis.handle.shape or a.threshold != basis.handle.threshold:
+    h = basis.handle
+    if (a.shape is not h.shape and a.shape != h.shape) or (
+            a.threshold is not h.threshold and a.threshold != h.threshold):
         raise ValueError("element and basis live in different algebras")
     if a.loc is not None:
         raise ValueError("reduction expects a polynomial (non-localized) element")
@@ -357,7 +359,7 @@ _COEFF_POOL = (ONE, -ONE, Q, -Q, Q_INV, -Q_INV, LAM)
 
 def _random_monomial_key(rng, shape, max_degree) -> MonoKey:
     deg = rng.randint(0, max_degree)
-    coords = list(shape.coords())
+    coords = shape.coords()
     return mono_key(
         (*rng.choice(coords), 1) for _ in range(deg)
     )

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .coeff import q_power
+from .coeff import ONE, q_power
 from .torus import (
-    EMPTY_KEY, Coord, Shape, TorusElement, key_entry, mono_key, monomial_mul,
+    EMPTY_KEY, Coord, Shape, TorusElement, add_parts, key_entry, mono_key,
+    monomial_mul,
 )
-from .straighten import (
-    QmPoly, Threshold, _accumulate, _collapse, _fold, _unit_letters,
-)
+from .straighten import QmPoly, Threshold, _fold, _unit_letters
 from .cauchon import (
     Diagram,
     build_graph,
@@ -208,9 +207,9 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     graph per threshold coordinate, so each (i, j, +-1) is looked up once
     per graph and threshold, across calls and handles.
     """
-    if a.shape != handle.shape:
+    if a.shape is not handle.shape and a.shape != handle.shape:
         raise ValueError("shape mismatch")
-    if a.threshold != handle.threshold:
+    if a.threshold is not handle.threshold and a.threshold != handle.threshold:
         raise ValueError("threshold mismatch")
     graph, t = handle.graph, handle.t
     images = graph._images.get(handle.rs)  # (i, j, +-1) -> image
@@ -298,30 +297,30 @@ def _derivation(a: QmPoly, t: int, rs: Coord, sign: int) -> QmPoly:
     of (r, s) and the generator itself for every other one.
 
     Each term's letters are folded left to right into its integer parts
-    ({key: {(a, b): n}}, see `straighten`), straightened at the level-t
-    threshold coordinate; a northwest letter adds the fold of the
-    correction, kept in lexicographic order x_{i,s} x_{r,j} x_{r,s}^{-1} at
-    the cost of one factor q.  The parts are collapsed once at the end.  The
-    input is localized at rs or not at all, so only x_{r,s} can carry a
-    negative exponent.
+    ({key: {q-exponent: n}}, as `TermSum._terms` stores them), straightened
+    at the level-t threshold coordinate; a northwest letter adds the fold of
+    the correction, kept in lexicographic order x_{i,s} x_{r,j} x_{r,s}^{-1}
+    at the cost of one factor q.  The input is localized at rs or not at
+    all, so only x_{r,s} can carry a negative exponent.
     """
     r, s = rs
     target = QmPoly.zero(a.shape, t, loc=rs)
     at = target.threshold.rs
+    corr_scale = ((1, sign),)
     acc: dict = {}
     for key, coeff in a._terms.items():
-        terms = {EMPTY_KEY: {(p, 0): n for p, n in coeff.items()}}
+        terms = {EMPTY_KEY: coeff}
         for y in _unit_letters(key):
             i, j, e = y
             out = _fold(at, terms, (y,))
             if e > 0 and i < r and j < s:
                 corr = _fold(at, terms, ((i, s, 1), (r, j, 1), (r, s, -1)))
                 for k, parts in corr.items():
-                    _accumulate(out, k, parts, dq=1, sign=sign)
+                    add_parts(out, k, parts.items(), corr_scale)
             terms = out
         for k, parts in terms.items():
-            _accumulate(acc, k, parts)
-    return target._like(_collapse(acc))
+            add_parts(acc, k, parts.items(), ONE.terms)
+    return target._like(acc)
 
 
 def dd_forward(a: QmPoly) -> QmPoly:

@@ -27,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeff import ONE, LaurentScalar, lam_power
+from .coeff import ONE, LaurentScalar
 from .torus import (
     Coord,
     EMPTY_KEY,
     MonoKey,
     Shape,
     TermSum,
+    add_parts,
     mono_key,
     to_scalar,
 )
@@ -176,12 +177,14 @@ def count_terms_in_grade(gv: GradeVector) -> int:
 # ---------------------------------------------------------------------------
 # the straightening engine
 #
-# Work is done on sorted exponent keys.  x^K y for one letter y = (i, j, +-1)
-# is straightened in one scan of K from its largest coordinate down: y moves
-# left past every block z^e with z > y.  A block in y's row or column costs
-# q^(-e * sign(y)); a southwest/northeast pair and a block past rs commute.
-# A block z^e southeast of y with z <= rs (or the inverted letter at rs with
-# y northwest of it) leaves one correction branch per copy h of z:
+# Work is done on sorted exponent keys, each carrying the integer parts
+# {q-exponent: n} that `TermSum._terms` stores.  x^K y for one letter
+# y = (i, j, +-1) is straightened in one scan of K from its largest
+# coordinate down: y moves left past every block z^e with z > y.  A block in
+# y's row or column costs q^(-e * sign(y)); a southwest/northeast pair and a
+# block past rs commute.  A block z^e southeast of y with z <= rs (or the
+# inverted letter at rs with y northwest of it) leaves one correction branch
+# per copy h of z:
 #
 #     z^e y = y z^e - (q - q^{-1}) sum_h z^(e-1-h) (y_i, z_j) (z_i, y_j) z^h,
 #     z^-e y = y z^-e + q^2 (q - q^{-1}) sum_h z^-(e-1-h) (y_i, z_j) (z_i, y_j) z^-2 z^-h.
@@ -189,20 +192,20 @@ def count_terms_in_grade(gv: GradeVector) -> int:
 # The correction letters lie below z, so they are inserted recursively into
 # the prefix times z^(+-(e-1-h)), and z^(+-h) and the passed suffix are then
 # re-attached as they are.  A nested correction happens at a coordinate
-# below z, so the recursion is at most mn deep.  Coefficients along a branch
-# are kept as {(a, b): n} for n q^a (q - q^{-1})^b until a result key is
-# final.
+# below z, so the recursion is at most mn deep.  The branch coefficient
+# +-q^dq (q - q^{-1}) times the incoming parts is multiplied out once per
+# corrected block; neighbouring exponents can cancel there, and every merge
+# drops zero parts and keys left with none, so results are canonical parts.
+# Parts handed in are read, never mutated: they may be an operand's own.
 
 
-def _accumulate(out, key, coeffs, dq=0, dl=0, sign=1):
-    """Add sign q^dq (q - q^{-1})^dl coeffs at key into out, never aliasing."""
-    acc = out.get(key)
-    if acc is None:
-        out[key] = {(qa + dq, lb + dl): n * sign for (qa, lb), n in coeffs.items()}
-        return
-    for (qa, lb), n in coeffs.items():
-        k = (qa + dq, lb + dl)
-        acc[k] = acc.get(k, 0) + n * sign
+def _lam_times(parts: dict, dq: int, sign: int) -> dict:
+    """sign q^dq (q - q^{-1}) parts, with zero parts dropped."""
+    out: dict = {}
+    for p, n in parts.items():
+        out[p + dq + 1] = out.get(p + dq + 1, 0) + sign * n
+        out[p + dq - 1] = out.get(p + dq - 1, 0) - sign * n
+    return {p: n for p, n in out.items() if n}
 
 
 def _reattach(key: MonoKey, i: int, j: int, e: int) -> MonoKey:
@@ -215,8 +218,8 @@ def _reattach(key: MonoKey, i: int, j: int, e: int) -> MonoKey:
     return key + ((i, j, e),)
 
 
-def _insert_letter(rs: Coord, key: MonoKey, y, coeffs, out) -> None:
-    """Add coeffs * x^key y, straightened, into out ({key: {(a, b): n}})."""
+def _insert_letter(rs: Coord, key: MonoKey, y, parts: dict, out: dict) -> None:
+    """Add parts * x^key y, straightened, into out ({key: {q-exponent: n}})."""
     yi, yj, ye = y
     shift = 0
     p = len(key)
@@ -233,19 +236,32 @@ def _insert_letter(rs: Coord, key: MonoKey, y, coeffs, out) -> None:
             else:  # the inverted letter, at rs
                 unit, copies, dq, sign = -1, -e, shift + 2, 1
                 letters = ((yi, zj, 1), (zi, yj, 1), (zi, zj, -1), (zi, zj, -1))
+            lam = _lam_times(parts, dq, sign)
             prefix, suffix = key[: p - 1], key[p:]
             for h in range(copies):
                 start = _reattach(prefix, zi, zj, unit * (copies - 1 - h))
-                branch: dict = {}
-                _accumulate(branch, start, coeffs, dq, 1, sign)
-                for k2, c2 in _fold(rs, branch, letters).items():
-                    _accumulate(out, _reattach(k2, zi, zj, unit * h) + suffix, c2)
+                for k2, c2 in _fold(rs, {start: lam}, letters).items():
+                    add_parts(out, _reattach(k2, zi, zj, unit * h) + suffix,
+                              c2.items(), ONE.terms)
         p -= 1
     if p and key[p - 1][0] == yi and key[p - 1][1] == yj:
-        key = _reattach(key[:p], yi, yj, ye) + key[p:]
+        e = key[p - 1][2] + ye
+        key = key[: p - 1] + ((yi, yj, e),) + key[p:] if e else key[: p - 1] + key[p:]
     else:
         key = key[:p] + (y,) + key[p:]
-    _accumulate(out, key, coeffs, shift)
+    acc = out.get(key)
+    if acc is None:
+        out[key] = {q + shift: n for q, n in parts.items()} if shift else parts.copy()
+        return
+    for q, n in parts.items():
+        q += shift
+        v = acc.get(q, 0) + n
+        if v:
+            acc[q] = v
+        else:
+            del acc[q]
+    if not acc:
+        del out[key]
 
 
 def _unit_letters(key: MonoKey) -> list:
@@ -254,30 +270,16 @@ def _unit_letters(key: MonoKey) -> list:
 
 
 def _fold(rs: Coord, terms: dict, letters) -> dict:
-    """terms ({key: {(a, b): n}}) times the letters, in lexicographic
-    expression; equal keys are merged after every letter."""
+    """terms ({key: {q-exponent: n}}, canonical) times the letters, in
+    lexicographic expression; equal keys are merged after every letter.
+    The result is canonical and shares no parts with terms, except that
+    terms itself comes back when there are no letters."""
     for y in letters:
         out: dict = {}
-        for key, coeffs in terms.items():
-            _insert_letter(rs, key, y, coeffs, out)
+        for key, parts in terms.items():
+            _insert_letter(rs, key, y, parts, out)
         terms = out
     return terms
-
-
-def _collapse(terms: dict) -> dict:
-    """{key: {q-exponent: n}} of {key: {(a, b): n}}, each part standing for
-    n q^a (q - q^{-1})^b; zero parts and keys left with none are dropped."""
-    out = {}
-    for key, parts in terms.items():
-        powers: dict = {}
-        for (qa, lb), n in parts.items():
-            if n:
-                for p, m in lam_power(lb).terms:
-                    powers[qa + p] = powers.get(qa + p, 0) + n * m
-        powers = {p: n for p, n in powers.items() if n}
-        if powers:
-            out[key] = powers
-    return out
 
 
 def straighten_word(rs: Coord, loc: Coord | None, word):
@@ -297,14 +299,14 @@ def straighten_word(rs: Coord, loc: Coord | None, word):
             raise ValueError(f"letter {(i, j, e)}: exponent must be 1 or -1")
         if e < 0 and (i, j) != loc:
             raise ValueError(f"letter {(i, j, e)}: inverted outside localization {loc}")
-    terms = _collapse(_fold(rs, {EMPTY_KEY: {(0, 0): 1}}, word))
+    terms = _fold(rs, {EMPTY_KEY: {0: 1}}, word)
     return {key: to_scalar(parts) for key, parts in terms.items()}
 
 
 @lru_cache(maxsize=1 << 16)
 def _term_mul(rs: Coord, loc: Coord | None, a: MonoKey, b: MonoKey):
     """Cached x^a x^b as (key, scalar) pairs, for the tests and layer tracer."""
-    terms = _collapse(_fold(rs, {a: {(0, 0): 1}}, _unit_letters(b)))
+    terms = _fold(rs, {a: {0: 1}}, _unit_letters(b))
     return tuple(sorted((key, to_scalar(parts)) for key, parts in terms.items()))
 
 
@@ -348,9 +350,9 @@ class QmPoly(TermSum):
     def _check_mate(self, other):
         if not isinstance(other, QmPoly):
             raise TypeError("expected a QmPoly")
-        if other.shape != self.shape:
+        if other.shape is not self.shape and other.shape != self.shape:
             raise ValueError("shape mismatch")
-        if other.threshold != self.threshold:
+        if other.threshold is not self.threshold and other.threshold != self.threshold:
             raise ValueError("threshold mismatch")
         if other.loc != self.loc:
             raise ValueError("localization mismatch")
@@ -390,15 +392,12 @@ class QmPoly(TermSum):
     def __mul__(self, other):
         self._check_mate(other)
         rs = self.threshold.rs
-        left = {k: {(p, 0): n for p, n in c.items()} for k, c in self._terms.items()}
         acc: dict = {}
         for k2, c2 in other._terms.items():
-            for key, parts in _fold(rs, left, _unit_letters(k2)).items():
-                out = acc.setdefault(key, {})
-                for (qa, lb), n in parts.items():
-                    for p, m in c2.items():
-                        out[qa + p, lb] = out.get((qa + p, lb), 0) + n * m
-        return self._like(_collapse(acc))
+            scale = c2.items()
+            for key, parts in _fold(rs, self._terms, _unit_letters(k2)).items():
+                add_parts(acc, key, parts.items(), scale)
+        return self._like(acc)
 
     # -- order structure ------------------------------------------------------------
 
@@ -445,10 +444,7 @@ class QmPoly(TermSum):
 def times_monomial(a: QmPoly, key: MonoKey) -> dict:
     """The product a x^key in the parts format of `TermSum._terms`; for the
     empty key, a's own parts, shared and not to be mutated."""
-    if not key:
-        return a._terms
-    left = {k: {(p, 0): n for p, n in c.items()} for k, c in a._terms.items()}
-    return _collapse(_fold(a.threshold.rs, left, _unit_letters(key)))
+    return _fold(a.threshold.rs, a._terms, _unit_letters(key))
 
 
 def swap_adjacent(shape: Shape, t, a: Coord, b: Coord) -> QmPoly:

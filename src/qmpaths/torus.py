@@ -43,9 +43,13 @@ class Shape:
     def mn(self) -> int:
         return self.m * self.n
 
-    def coords(self):
-        """All coordinates in lexicographic order."""
-        return ((i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1))
+    def coords(self) -> tuple:
+        """All coordinates in lexicographic order, a tuple built on first use."""
+        return self._coords
+
+    @cached_property
+    def _coords(self) -> tuple:
+        return tuple(self._threshold_coords.values())
 
     def contains(self, coord: Coord) -> bool:
         i, j = coord
@@ -325,7 +329,7 @@ class TorusElement(TermSum):
     def _check_mate(self, other):
         if not isinstance(other, TorusElement):
             raise TypeError("expected a TorusElement")
-        if other.shape != self.shape:
+        if other.shape is not self.shape and other.shape != self.shape:
             raise ValueError("shape mismatch")
 
     def _like(self, terms: dict) -> "TorusElement":

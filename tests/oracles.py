@@ -23,6 +23,11 @@ products; a minor's path-system sum is `system_weight` summed over the
 systems; the vertex-disjoint systems are picked from the pruning-DFS
 families with a pairwise disjointness filter.
 
+The straightening kernel's oracle is its former version, which carried
+each branch coefficient as {(a, b): n} for n q^a (q - q^{-1})^b and expanded
+the powers of q - q^{-1} once per result key; the polynomial product,
+`times_monomial` and the derivation maps are restated on it.
+
 The Groebner-layer oracles are the slower library routes that the fast ones
 replaced: the kernel minors by one path-system search per minor
 (`minor_in_kernel`), and reduction and trace replay on QmPoly arithmetic,
@@ -41,12 +46,12 @@ from qmpaths.cauchon import (
     path_turns,
     system_weight,
 )
-from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, lam_power, q_power
+from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, q_power
 from qmpaths.groebner import ReductionStep
 from qmpaths.minors import MinorSpec, minor_in_kernel
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import (
-    TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
+    EMPTY_KEY, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
 )
 from qmpaths.verify import Report, _run, _shapes
 
@@ -404,6 +409,151 @@ def oracle_straighten_word(rs, loc, word, pick=None):
         if c:
             result[key] = c
     return result
+
+
+_LAM_POWS = [ONE, LAM]
+
+
+def lam_power(e: int) -> LaurentScalar:
+    """(q - q^{-1})^e for e >= 0, cached."""
+    if e < 0:
+        raise ValueError(f"lam_power({e}): the exponent must be at least 0")
+    while len(_LAM_POWS) <= e:
+        _LAM_POWS.append(_LAM_POWS[-1] * LAM)
+    return _LAM_POWS[e]
+
+
+def _lp_accumulate(out, key, coeffs, dq=0, dl=0, sign=1):
+    """Add sign q^dq (q - q^{-1})^dl coeffs at key into out, never aliasing."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = {(qa + dq, lb + dl): n * sign for (qa, lb), n in coeffs.items()}
+        return
+    for (qa, lb), n in coeffs.items():
+        k = (qa + dq, lb + dl)
+        acc[k] = acc.get(k, 0) + n * sign
+
+
+def _lp_reattach(key, i, j, e):
+    """key x_{i,j}^e for a key with no coordinate past (i, j)."""
+    if not e:
+        return key
+    if key and key[-1][0] == i and key[-1][1] == j:
+        e += key[-1][2]
+        return key[:-1] + ((i, j, e),) if e else key[:-1]
+    return key + ((i, j, e),)
+
+
+def _lp_insert_letter(rs, key, y, coeffs, out):
+    """Add coeffs * x^key y, straightened, into out ({key: {(a, b): n}})."""
+    yi, yj, ye = y
+    shift = 0
+    p = len(key)
+    while p:
+        zi, zj, e = key[p - 1]
+        if zi < yi or (zi == yi and zj <= yj):
+            break
+        if zi == yi or zj == yj:
+            shift -= e * ye
+        elif zj > yj and (zi, zj) <= rs:
+            if e > 0:
+                unit, copies, dq, sign = 1, e, shift, -1
+                letters = ((yi, zj, 1), (zi, yj, 1))
+            else:  # the inverted letter, at rs
+                unit, copies, dq, sign = -1, -e, shift + 2, 1
+                letters = ((yi, zj, 1), (zi, yj, 1), (zi, zj, -1), (zi, zj, -1))
+            prefix, suffix = key[: p - 1], key[p:]
+            for h in range(copies):
+                start = _lp_reattach(prefix, zi, zj, unit * (copies - 1 - h))
+                branch = {}
+                _lp_accumulate(branch, start, coeffs, dq, 1, sign)
+                for k2, c2 in _lp_fold(rs, branch, letters).items():
+                    _lp_accumulate(out, _lp_reattach(k2, zi, zj, unit * h) + suffix, c2)
+        p -= 1
+    if p and key[p - 1][0] == yi and key[p - 1][1] == yj:
+        key = _lp_reattach(key[:p], yi, yj, ye) + key[p:]
+    else:
+        key = key[:p] + (y,) + key[p:]
+    _lp_accumulate(out, key, coeffs, shift)
+
+
+def _lp_fold(rs, terms, letters):
+    """terms ({key: {(a, b): n}}) times the letters, in lexicographic
+    expression; equal keys are merged after every letter."""
+    for y in letters:
+        out = {}
+        for key, coeffs in terms.items():
+            _lp_insert_letter(rs, key, y, coeffs, out)
+        terms = out
+    return terms
+
+
+def _lp_collapse(terms):
+    """{key: {q-exponent: n}} of {key: {(a, b): n}}, each part standing for
+    n q^a (q - q^{-1})^b; zero parts and keys left with none are dropped."""
+    out = {}
+    for key, parts in terms.items():
+        powers = {}
+        for (qa, lb), n in parts.items():
+            if n:
+                for p, m in lam_power(lb).terms:
+                    powers[qa + p] = powers.get(qa + p, 0) + n * m
+        powers = {p: n for p, n in powers.items() if n}
+        if powers:
+            out[key] = powers
+    return out
+
+
+def _lp_lift(terms):
+    return {k: {(p, 0): n for p, n in c.items()} for k, c in terms.items()}
+
+
+def oracle_fold_lambda_parts(rs, terms, letters):
+    """terms ({key: {q-exponent: n}}) times the letters by the former
+    straightening kernel: branch coefficients as {(a, b): n} for
+    n q^a (q - q^{-1})^b, expanded once at the end.  terms is not mutated."""
+    return _lp_collapse(_lp_fold(rs, _lp_lift(terms), letters))
+
+
+def oracle_times_monomial(a, key):
+    """a x^key as {key: {q-exponent: n}} on the former kernel."""
+    return oracle_fold_lambda_parts(a.threshold.rs, a._terms, expand_key(key))
+
+
+def oracle_qmpoly_mul_lambda_parts(a, b):
+    """a * b on the former kernel: the left parts folded through each right
+    key, scaled by its coefficient, collapsed once."""
+    rs = a.threshold.rs
+    left = _lp_lift(a._terms)
+    acc = {}
+    for k2, c2 in b._terms.items():
+        for key, parts in _lp_fold(rs, left, expand_key(k2)).items():
+            out = acc.setdefault(key, {})
+            for (qa, lb), n in parts.items():
+                for p, m in c2.items():
+                    out[qa + p, lb] = out.get((qa + p, lb), 0) + n * m
+    return a._like(_lp_collapse(acc))
+
+
+def oracle_derivation_lambda_parts(a, t, rs, sign):
+    """The derivation map of `minors._derivation` on the former kernel."""
+    r, s = rs
+    target = QmPoly.zero(a.shape, t, loc=rs)
+    at = target.threshold.rs
+    acc = {}
+    for key, coeff in a._terms.items():
+        terms = {EMPTY_KEY: {(p, 0): n for p, n in coeff.items()}}
+        for y in expand_key(key):
+            i, j, e = y
+            out = _lp_fold(at, terms, (y,))
+            if e > 0 and i < r and j < s:
+                corr = _lp_fold(at, terms, ((i, s, 1), (r, j, 1), (r, s, -1)))
+                for k, parts in corr.items():
+                    _lp_accumulate(out, k, parts, dq=1, sign=sign)
+            terms = out
+        for k, parts in terms.items():
+            _lp_accumulate(acc, k, parts)
+    return target._like(_lp_collapse(acc))
 
 
 def oracle_qmpoly_mul(a, b):

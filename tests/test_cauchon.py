@@ -804,3 +804,24 @@ def test_export_dot_empty_row():
     dot = export_dot(build_graph(d))
     assert "r_1" in dot
     assert "r_1 ->" not in dot
+
+
+def test_family_monomials_built_only_for_path_systems(grid_4x4_diagram):
+    # sigma reads a family's weight sum only; the per-path weight monomials
+    # are built when a path-system weight sum needs them
+    from qmpaths.minors import MinorSpec, minor_poly, sigma
+
+    handle = HPrimeHandle(grid_4x4_diagram, 16)
+    sigma(handle, minor_poly(handle.shape, 16, MinorSpec.of((3, 4), (3, 4))))
+    families = list(handle.graph._family_cache.values())
+    assert families
+    assert all("monomials" not in fam.__dict__ for fam in families)
+    systems = enumerate_vdps(handle.graph, 16, (3, 4), (3, 4))
+    assert systems.weights
+    used = set(map(id, systems.families))
+    for fam in handle.graph._family_cache.values():
+        assert ("monomials" in fam.__dict__) == (id(fam) in used)
+        if id(fam) in used:
+            for path in fam:
+                qexp, key = fam.monomials[path]
+                assert path_weight(handle.graph, path)._terms == {key: {qexp: 1}}

@@ -10,10 +10,10 @@ from oracles import (
 )
 from qmpaths import groebner
 from qmpaths.coeff import q_power
-from qmpaths.torus import Shape, mono_key
+from qmpaths.torus import Shape, TorusElement, mono_key
 from qmpaths.straighten import QmPoly, grade, matrix_lex_compare, term_divides
 from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
-from qmpaths.minors import HPrimeHandle, kernel_member
+from qmpaths.minors import HPrimeHandle, kernel_member, sigma
 from qmpaths.groebner import (
     GroebnerBasis,
     apply_trace,
@@ -447,3 +447,24 @@ def test_checks_leave_shared_parts_and_tables_intact():
                     assert image == {
                         (k, p): n for k, c in inverse.items() for p, n in c.items()
                     }
+
+
+def test_equal_but_distinct_shape_is_accepted(grid_4x4_diagram):
+    # the algebra checks compare by identity first, then by value
+    handle = HPrimeHandle(grid_4x4_diagram, 16)
+    basis = groebner_basis(handle)
+    other = Shape(4, 4)
+    assert other is not handle.shape and other == handle.shape
+    a = QmPoly(other, 16, [(E((3, 3), (4, 4)), q_power(1)), (E((1, 2)), q_power(0))])
+    b = QmPoly(handle.shape, 16, [(E((2, 2)), q_power(-1))])
+    assert kernel_member(handle, a) == kernel_member(handle, a.with_loc(None))
+    remainder, trace = reduce(a, basis)
+    assert apply_trace(basis, trace) + remainder == a
+    assert a * b == QmPoly(handle.shape, 16, a.terms) * b
+    ta = sigma(handle, a)
+    assert ta * TorusElement.one(other) == ta
+    assert ta + TorusElement.zero(other) == ta
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a * QmPoly(Shape(4, 3), 12, [(E((2, 2)), q_power(0))])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ta * TorusElement.one(Shape(4, 3))
