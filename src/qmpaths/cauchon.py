@@ -23,6 +23,7 @@ largest vertical-to-horizontal turn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -214,7 +215,8 @@ class CauchonGraph:
     family changes only at a threshold that passes one of its paths' turn
     bounds, so one family object is built per (i, j, largest bound at or
     below the threshold) and stored under every threshold that selects it,
-    and one system tuple per tuple of families.  `minors.sigma` keeps its
+    and one system tuple per tuple of families; `family_grid` keeps the
+    m x n families per threshold coordinate.  `minors.sigma` keeps its
     generator images here per threshold coordinate.  Those objects are
     shared by every caller and must not be mutated.
     """
@@ -260,8 +262,10 @@ class CauchonGraph:
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
         self._paths_cache: dict = {}  # row i -> path records per column
         self._gamma_cache: dict = {}
+        self._grid_cache: dict = {}  # threshold coordinate -> family grid
         self._vdps_cache: dict = {}
         self._family_cache: dict = {}  # (i, j, bound) -> _Family
+        self._bounds_cache: dict = {}  # (i, j) -> sorted distinct path bounds
         self._systems_cache: dict = {}  # family keys -> systems
         self._images: dict = {}  # threshold coordinate -> sigma's images
 
@@ -433,12 +437,16 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
     rs = g.shape.threshold_coord(t)
     fam = g._gamma_cache.get((rs, i, j))
     if fam is None:
-        records = _row_column_paths(g, i, j)
         # the members are the paths whose bound is at most this one
-        bound = max((r[4] for r in records if r[4] <= rs), default=None)
+        bounds = g._bounds_cache.get((i, j))
+        if bounds is None:
+            records = _row_column_paths(g, i, j)
+            bounds = g._bounds_cache[i, j] = sorted({r[4] for r in records})
+        k = bisect_right(bounds, rs)
+        bound = bounds[k - 1] if k else None
         fam = g._family_cache.get((i, j, bound))
         if fam is None:
-            members = [r for r in records if r[4] <= rs]
+            members = [r for r in _row_column_paths(g, i, j) if r[4] <= rs]
             # every path weight is +q^c t^N, so no sum of them cancels to zero
             weights: dict = {}
             for _path, _vset, qexp, mono, _bound in members:
@@ -451,6 +459,28 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
             fam.weights = weights
         g._gamma_cache[(rs, i, j)] = fam
     return fam
+
+
+def family_grid(g: CauchonGraph, t: int) -> tuple:
+    """(rows, key): the families `enumerate_gamma` returns at threshold t
+    for every (i, j), as m rows of n, and the tuple of their keys in
+    row-major order.  Cached on the graph per threshold coordinate.
+
+    Thresholds with equal keys were handed the same family objects, so a
+    check computed from the families alone holds at all of them or at
+    none.
+    """
+    rs = g.shape.threshold_coord(t)
+    hit = g._grid_cache.get(rs)
+    if hit is None:
+        cols = range(1, g.shape.n + 1)
+        rows = tuple(
+            tuple([enumerate_gamma(g, t, i, j) for j in cols])
+            for i in range(1, g.shape.m + 1)
+        )
+        key = tuple(fam.key for row in rows for fam in row)
+        hit = g._grid_cache[rs] = (rows, key)
+    return hit
 
 
 def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:

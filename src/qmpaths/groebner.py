@@ -456,9 +456,15 @@ def groebner_check(
     Every sampled kernel element must (i) be confirmed by sigma, (ii) have
     its leading term divisible by a basis leading term, and (iii) reduce to
     zero; sampled non-kernel elements must reduce to nonzero remainders.
-    The first samples are the basis elements themselves, so deleting any
-    member of a minimal basis is guaranteed to surface a failure.
+    The first samples are the basis elements themselves, in basis order, so
+    deleting a member of a minimal basis is guaranteed to surface a failure
+    when it is among the first `samples` elements of the full basis; a
+    member further down the list is caught only if a random kernel sample
+    happens to need it.  A negative `samples` raises ValueError, and with
+    0 nothing is checked, so the report does not pass.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     full_basis = groebner_basis(handle, check=False)
     if basis is None:
         basis = full_basis

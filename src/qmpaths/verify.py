@@ -20,9 +20,8 @@ from .cauchon import (
     Diagram,
     build_graph,
     enumerate_cauchon_diagrams,
-    enumerate_gamma,
     enumerate_vdps,
-    generator,
+    family_grid,
     system_turn_key,
 )
 from .minors import (
@@ -101,20 +100,61 @@ def _q_shift(counts: dict, dq: int) -> dict:
     return {(key, c + dq): n for (key, c), n in counts.items()}
 
 
+#: the relation names per 2x2 submatrix, in check order, when the threshold
+#: coordinate lies before its corner d (ad = da) and when it does not
+_COMMUTING = ("ab=qba", "cd=qdc", "ac=qca", "bd=qdb", "bc=cb", "ad=da")
+_LAMBDA = _COMMUTING[:5] + ("ad=da+lam*bc",)
+
+
+def _fixed_relations(mul, a, b, c, dd) -> tuple:
+    """Whether ab = qba, cd = qdc, ac = qca, bd = qdb and bc = cb hold for
+    the families a, b, c, dd of a 2x2 submatrix."""
+    return (
+        mul(a, b) == _q_shift(mul(b, a), 1),
+        mul(c, dd) == _q_shift(mul(dd, c), 1),
+        mul(a, c) == _q_shift(mul(c, a), 1),
+        mul(b, dd) == _q_shift(mul(dd, b), 1),
+        mul(b, c) == mul(c, b),
+    )
+
+
+def _ad_relation(mul, a, b, c, dd, commuting: bool) -> bool:
+    """Whether ad = da holds (commuting) or ad = da + (q - q^{-1}) bc."""
+    if commuting:
+        return mul(a, dd) == mul(dd, a)
+    # da + (q - q^{-1}) bc, zero counts dropped; products of path sums
+    # have none
+    rhs = dict(mul(dd, a))
+    for (key, e), n in mul(b, c).items():
+        rhs[key, e + 1] = rhs.get((key, e + 1), 0) + n
+        rhs[key, e - 1] = rhs.get((key, e - 1), 0) - n
+    rhs = {x: n for x, n in rhs.items() if n}
+    return mul(a, dd) == rhs
+
+
 def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
     """Path-built generator matrices satisfy the defining relations of the
     threshold-t algebra, for every diagram and threshold in range.
 
     The generators are compared as their families' integer path counts
-    {(N, c): n}.  Thresholds that select the same paths share one family
-    object, so each ordered product of two families is formed once per
-    diagram.
+    {(N, c): n}.  The relations depend on the threshold only through the
+    family grid and, for ad, through whether the threshold coordinate lies
+    before the submatrix's corner d.  So each relation is decided once per
+    distinct grid of a diagram (`family_grid`'s key), the ad relation once
+    per branch a threshold asks for, and every threshold counts and reports
+    from that table.  Each ordered product of two families is formed once
+    per diagram.
     """
     report = Report("relations", {"max": [max_m, max_n]})
 
     def body(report):
         for shape in _shapes(max_m, max_n):
             rows, cols = range(1, shape.m + 1), range(1, shape.n + 1)
+            subs = [
+                (i, j, k, l)
+                for i, k in combinations(rows, 2)
+                for j, l in combinations(cols, 2)
+            ]
             for d in enumerate_cauchon_diagrams(shape):
                 g = build_graph(d)
                 products: dict = {}
@@ -127,40 +167,38 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
                         )
                     return p
 
+                tables: dict = {}  # grid key -> {submatrix (, branch): held}
                 for t in range(1, shape.mn + 1):
                     rs = shape.threshold_coord(t)
-                    X = [[enumerate_gamma(g, t, i, j) for j in cols] for i in rows]
-                    for i, k in combinations(rows, 2):
-                        for j, l in combinations(cols, 2):
-                            a, b = X[i - 1][j - 1], X[i - 1][l - 1]
-                            c, dd = X[k - 1][j - 1], X[k - 1][l - 1]
-                            checks = [
-                                ("ab=qba", mul(a, b) == _q_shift(mul(b, a), 1)),
-                                ("cd=qdc", mul(c, dd) == _q_shift(mul(dd, c), 1)),
-                                ("ac=qca", mul(a, c) == _q_shift(mul(c, a), 1)),
-                                ("bd=qdb", mul(b, dd) == _q_shift(mul(dd, b), 1)),
-                                ("bc=cb", mul(b, c) == mul(c, b)),
-                            ]
-                            if (k, l) > rs:
-                                checks.append(("ad=da", mul(a, dd) == mul(dd, a)))
-                            else:
-                                # da + (q - q^{-1}) bc, zero counts dropped;
-                                # products of path sums have none
-                                rhs = dict(mul(dd, a))
-                                for (key, e), n in mul(b, c).items():
-                                    rhs[key, e + 1] = rhs.get((key, e + 1), 0) + n
-                                    rhs[key, e - 1] = rhs.get((key, e - 1), 0) - n
-                                rhs = {x: n for x, n in rhs.items() if n}
-                                checks.append(("ad=da+lam*bc", mul(a, dd) == rhs))
-                            for name, ok in checks:
-                                report.checks += 1
-                                if not ok:
-                                    report.fail(
-                                        diagram=d.to_inline(),
-                                        t=t,
-                                        submatrix=[i, j, k, l],
-                                        relation=name,
-                                    )
+                    X, grid = family_grid(g, t)
+                    table = tables.setdefault(grid, {})
+                    for sub in subs:
+                        i, j, k, l = sub
+                        commuting = (k, l) > rs
+                        fixed = table.get(sub)
+                        ad = table.get((sub, commuting))
+                        if fixed is None or ad is None:
+                            quad = (X[i - 1][j - 1], X[i - 1][l - 1],
+                                    X[k - 1][j - 1], X[k - 1][l - 1])
+                            if fixed is None:
+                                fixed = table[sub] = _fixed_relations(mul, *quad)
+                            if ad is None:
+                                ad = table[sub, commuting] = _ad_relation(
+                                    mul, *quad, commuting
+                                )
+                        if ad and all(fixed):
+                            report.checks += 6
+                            continue
+                        names = _COMMUTING if commuting else _LAMBDA
+                        for name, ok in zip(names, (*fixed, ad)):
+                            report.checks += 1
+                            if not ok:
+                                report.fail(
+                                    diagram=d.to_inline(),
+                                    t=t,
+                                    submatrix=[i, j, k, l],
+                                    relation=name,
+                                )
 
     return _run(report, body)
 
@@ -169,11 +207,39 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
 # suite: path evaluation of minors
 
 
+def _lindstrom_holds(
+    h: HPrimeHandle, spec: MinorSpec, poly: QmPoly, distinct: dict
+) -> bool:
+    """Whether sigma(poly), poly the minor `spec`, equals the weight sum of
+    its vertex-disjoint path systems, vanishes exactly when there are none,
+    and whether distinct systems have distinct exponent matrices.  The last
+    is kept in `distinct` per tuple of the systems' families."""
+    via_sigma = sigma(h, poly)
+    systems = enumerate_vdps(h.graph, h.t, spec.I, spec.J)
+    via_paths = TorusElement._from_counts(h.shape, systems.weights)
+    families = tuple(f.key for f in systems.families)
+    if families not in distinct:
+        keys = [system_turn_key(h.graph, s) for s in systems]
+        distinct[families] = len(set(keys)) == len(keys)
+    return (
+        via_sigma == via_paths
+        and via_paths.is_zero() == (not systems)
+        and distinct[families]
+    )
+
+
 def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     """For every minor with maximum coordinate at most the threshold
     coordinate: the evaluation homomorphism agrees with the disjoint
     path-system weight sum, vanishing exactly when the family is empty, and
-    distinct systems have distinct exponent matrices."""
+    distinct systems have distinct exponent matrices.
+
+    Both sides depend on the threshold only through the families, so each
+    minor is decided once per distinct family grid of a diagram
+    (`family_grid`'s key) and every threshold with that grid counts and
+    reports from the decision.  The minors' polynomials are looked up once
+    per shape and threshold.
+    """
     report = Report("lindstrom", {"max": [max_m, max_n]})
 
     def body(report):
@@ -184,29 +250,29 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                 for I in combinations(range(1, shape.m + 1), k)
                 for J in combinations(range(1, shape.n + 1), k)
             ]
+            # per threshold, the minors it checks with their polynomials
+            levels = [
+                (t, [
+                    (n, spec, minor_poly(shape, t, spec))
+                    for n, spec in enumerate(specs)
+                    if spec.max_coord <= shape.threshold_coord(t)
+                ])
+                for t in range(1, shape.mn + 1)
+            ]
             for d in enumerate_cauchon_diagrams(shape):
                 base = HPrimeHandle(d, 1)
-                # thresholds that select the same families share one systems
-                # tuple: its turn keys are compared once, keyed by the families
                 distinct: dict = {}
-                for t in range(1, shape.mn + 1):
+                decided: dict = {}  # (grid key, minor index) -> held
+                for t, checked in levels:
                     h = base.at(t)
-                    for spec in specs:
-                        if spec.max_coord > h.rs:
-                            continue
+                    grid = family_grid(h.graph, t)[1]
+                    for n, spec, poly in checked:
                         report.checks += 1
-                        via_sigma = sigma(h, minor_poly(shape, t, spec))
-                        systems = enumerate_vdps(h.graph, t, spec.I, spec.J)
-                        via_paths = TorusElement._from_counts(shape, systems.weights)
-                        families = tuple(f.key for f in systems.families)
-                        if families not in distinct:
-                            keys = [system_turn_key(h.graph, s) for s in systems]
-                            distinct[families] = len(set(keys)) == len(keys)
-                        ok = (
-                            via_sigma == via_paths
-                            and via_paths.is_zero() == (not systems)
-                            and distinct[families]
-                        )
+                        ok = decided.get((grid, n))
+                        if ok is None:
+                            ok = decided[grid, n] = _lindstrom_holds(
+                                h, spec, poly, distinct
+                            )
                         if not ok:
                             report.fail(
                                 diagram=d.to_inline(), t=t, minor=str(spec)
@@ -233,7 +299,14 @@ def _random_qmpoly(shape: Shape, t: int, rng) -> QmPoly:
 def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0) -> Report:
     """The derivation maps are mutually inverse on random elements, and the
     path model satisfies the generator identity
-    x_{i,j} = y_{i,j} + y_{i,s} y_{r,s}^{-1} y_{r,j} (northwest case)."""
+    x_{i,j} = y_{i,j} + y_{i,s} y_{r,s}^{-1} y_{r,j} (northwest case).
+
+    The level t-1 generators and their forward images do not depend on the
+    diagram, so each is built once per (shape, t, coordinate); their
+    evaluations are compared per diagram.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     report = Report(
         "ddalg", {"max": [max_m, max_n], "samples": samples, "seed": seed}
     )
@@ -254,6 +327,7 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
                     report.fail(kind="roundtrip-bwd-fwd", t=t, element=repr(b))
             # exact generator identities in the torus, and compatibility of
             # the evaluation maps across one level
+            images: dict = {}  # (t, coord) -> (y_coord at t-1, its forward image)
             for d in enumerate_cauchon_diagrams(shape):
                 base = HPrimeHandle(d, 1)
                 g = base.graph
@@ -262,10 +336,11 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
                     in_b = d.is_black(rs)
                     h_hi = base.at(t)
                     h_lo = base.at(t - 1)
-                    y_rs_inv = None if in_b else generator(g, t - 1, r, s).inverse()
+                    hi, lo = family_grid(g, t)[0], family_grid(g, t - 1)[0]
+                    y_rs_inv = None if in_b else lo[r - 1][s - 1].generator.inverse()
                     for (i, j) in shape.coords():
-                        x = generator(g, t, i, j)
-                        y = generator(g, t - 1, i, j)
+                        x = hi[i - 1][j - 1].generator
+                        y = lo[i - 1][j - 1].generator
                         report.checks += 1
                         if in_b or i >= r or j >= s:
                             if x != y:
@@ -275,9 +350,9 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
                                 )
                         else:
                             corr = (
-                                generator(g, t - 1, i, s)
+                                lo[i - 1][s - 1].generator
                                 * y_rs_inv
-                                * generator(g, t - 1, r, j)
+                                * lo[r - 1][j - 1].generator
                             )
                             if x != y + corr:
                                 report.fail(
@@ -288,9 +363,12 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
                             # sigma at level t of the forward image matches
                             # sigma at level t-1
                             report.checks += 1
-                            ygen = QmPoly.generator(shape, t - 1, (i, j))
-                            lhs = sigma(h_hi, dd_forward(ygen))
-                            if lhs != sigma(h_lo, ygen):
+                            pair = images.get((t, (i, j)))
+                            if pair is None:
+                                ygen = QmPoly.generator(shape, t - 1, (i, j))
+                                pair = images[t, (i, j)] = (ygen, dd_forward(ygen))
+                            ygen, image = pair
+                            if sigma(h_hi, image) != sigma(h_lo, ygen):
                                 report.fail(
                                     kind="sigma-derivation-compat",
                                     diagram=d.to_inline(), t=t, coord=[i, j],
@@ -313,6 +391,8 @@ def run_groebner(
 ) -> Report:
     """Randomized Groebner-property check over every diagram at the top
     threshold (or over one explicit diagram)."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     params = {"samples": samples, "seed": seed}
     if diagram is None:
         params["max"] = [max_m, max_n]

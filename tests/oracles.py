@@ -19,9 +19,10 @@ oracle) and the system enumeration the path-system fold runs over, none of
 it shares code with the library paths it validates.
 
 The relations suite's oracle is its former body, on TorusElement
-products; a minor's path-system sum is `system_weight` summed over the
-systems; the vertex-disjoint systems are picked from the pruning-DFS
-families with a pairwise disjointness filter.
+products; the lindstrom suite's is its former body, which decides every
+minor again at every threshold; a minor's path-system sum is
+`system_weight` summed over the systems; the vertex-disjoint systems are
+picked from the pruning-DFS families with a pairwise disjointness filter.
 
 The straightening kernel's oracle is its former version, which carried
 each branch coefficient as {(a, b): n} for n q^a (q - q^{-1})^b and expanded
@@ -44,11 +45,12 @@ from qmpaths.cauchon import (
     generator,
     generator_matrix,
     path_turns,
+    system_turn_key,
     system_weight,
 )
 from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, q_power
 from qmpaths.groebner import ReductionStep
-from qmpaths.minors import MinorSpec, minor_in_kernel
+from qmpaths.minors import HPrimeHandle, MinorSpec, minor_in_kernel, minor_poly, sigma
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import (
     EMPTY_KEY, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
@@ -637,6 +639,49 @@ def oracle_relations(max_m=3, max_n=3):
                                         submatrix=[i, j, k, l],
                                         relation=name,
                                     )
+
+    return _run(report, body)
+
+
+def oracle_lindstrom(max_m=3, max_n=3):
+    """The lindstrom suite deciding every minor at every threshold: sigma of
+    the minor against its path-system weight sum, emptiness, and distinct
+    turn keys per systems tuple.  Returns its Report."""
+    report = Report("lindstrom", {"max": [max_m, max_n]})
+
+    def body(report):
+        for shape in _shapes(max_m, max_n):
+            specs = [
+                MinorSpec(I, J)
+                for k in range(1, min(shape.m, shape.n) + 1)
+                for I in combinations(range(1, shape.m + 1), k)
+                for J in combinations(range(1, shape.n + 1), k)
+            ]
+            for d in enumerate_cauchon_diagrams(shape):
+                base = HPrimeHandle(d, 1)
+                distinct: dict = {}
+                for t in range(1, shape.mn + 1):
+                    h = base.at(t)
+                    for spec in specs:
+                        if spec.max_coord > h.rs:
+                            continue
+                        report.checks += 1
+                        via_sigma = sigma(h, minor_poly(shape, t, spec))
+                        systems = enumerate_vdps(h.graph, t, spec.I, spec.J)
+                        via_paths = TorusElement._from_counts(shape, systems.weights)
+                        families = tuple(f.key for f in systems.families)
+                        if families not in distinct:
+                            keys = [system_turn_key(h.graph, s) for s in systems]
+                            distinct[families] = len(set(keys)) == len(keys)
+                        ok = (
+                            via_sigma == via_paths
+                            and via_paths.is_zero() == (not systems)
+                            and distinct[families]
+                        )
+                        if not ok:
+                            report.fail(
+                                diagram=d.to_inline(), t=t, minor=str(spec)
+                            )
 
     return _run(report, body)
 

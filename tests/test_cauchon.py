@@ -15,6 +15,7 @@ from qmpaths.cauchon import (
     enumerate_gamma,
     enumerate_vdps,
     export_dot,
+    family_grid,
     generator,
     generator_matrix,
     is_cauchon,
@@ -343,22 +344,35 @@ def test_cached_generator_equals_path_weight_sum():
 def test_families_shared_across_thresholds():
     # thresholds that select the same paths share one family object; over
     # every diagram up to 3x3 the 22,166 (threshold, i, j) families hold
-    # 3,020 distinct member sets
-    objects, lookups = 0, 0
+    # 3,020 distinct member sets, and the 2,678 (diagram, threshold) grids
+    # of families 556 distinct ones, each named by its families' keys
+    objects, lookups, grids = 0, 0, 0
     for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         sh = Shape(m, n)
         for d in enumerate_cauchon_diagrams(sh):
             g = build_graph(d)
-            by_members = {}
+            by_members, by_key = {}, {}
             for t in range(1, m * n + 1):
                 for i, j in sh.coords():
                     fam = enumerate_gamma(g, t, i, j)
                     lookups += 1
                     assert fam == oracle_gamma(g, t, i, j)
                     assert by_members.setdefault((i, j, tuple(fam)), fam) is fam
+                rows, key = family_grid(g, t)
+                assert family_grid(g, t)[0] is rows
+                flat = sum(rows, ())
+                assert all(
+                    f is enumerate_gamma(g, t, i, j)
+                    for f, (i, j) in zip(flat, sh.coords(), strict=True)
+                )
+                assert key == tuple(f.key for f in flat)
+                first = by_key.setdefault(key, flat)
+                assert all(a is b for a, b in zip(first, flat))
             objects += len({id(f) for f in by_members.values()})
+            grids += len(by_key)
     assert lookups == 22166
     assert objects == 3020
+    assert grids == 556
 
 
 def test_generator_built_on_first_read():

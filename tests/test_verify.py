@@ -4,9 +4,11 @@ import time
 import pytest
 
 import oracles
-from qmpaths import cauchon, verify
+from qmpaths import cauchon, minors, verify
 from qmpaths.torus import Shape
 from qmpaths.cauchon import Diagram
+from qmpaths.groebner import groebner_check
+from qmpaths.minors import HPrimeHandle
 from qmpaths.verify import SUITES, run_ddalg, run_groebner, run_lindstrom, run_relations
 
 
@@ -63,11 +65,88 @@ def test_suite_with_zero_checks_does_not_pass():
 
 
 def test_relations_equal_torus_oracle():
-    # every shape up to 3x3: the same checks and the same (no) failures
+    # every shape up to 3x3: the same report, decided per family grid on
+    # integer path counts and per threshold on TorusElement products
     rep = run_relations(3, 3)
     want = oracles.oracle_relations(3, 3)
-    assert rep.checks == want.checks == 122052
-    assert rep.failures == want.failures == []
+    assert rep.to_json() == want.to_json()
+    assert rep.checks == 122052 and rep.passed
+
+
+def test_lindstrom_equal_per_threshold_oracle():
+    # every shape up to 3x3: the same report, decided per family grid and
+    # per threshold
+    rep = run_lindstrom(3, 3)
+    want = oracles.oracle_lindstrom(3, 3)
+    assert rep.to_json() == want.to_json()
+    assert rep.checks == 17910 and rep.passed
+
+
+def _select_as_at(monkeypatch, target, t, coords, source, every_diagram):
+    # a selection bug at one threshold coordinate: at threshold t, gamma(t;
+    # i, j) for (i, j) in coords comes back as at threshold source(t), for
+    # the target diagram (or for every diagram of its shape); every other
+    # family is untouched
+    select = cauchon.enumerate_gamma
+    rs = target.shape.threshold_coord(t)
+
+    def faulty(g, tt, i, j):
+        if (
+            (i, j) in coords
+            and g.shape == target.shape
+            and g.shape.threshold_coord(tt) == rs
+            and (every_diagram or g.diagram == target)
+        ):
+            tt = source(tt)
+        return select(g, tt, i, j)
+
+    monkeypatch.setattr(cauchon, "enumerate_gamma", faulty)
+    monkeypatch.setattr(minors, "enumerate_gamma", faulty)
+
+
+ALL_WHITE_3X3 = Diagram.from_text(".../.../...")
+FAULTS = {
+    # gamma(8; 1, 2) holds every path, as at the top threshold
+    "one-family": (8, {(1, 2)}, lambda t: 9, False),
+    # the same, in every 3x3 diagram: the run stops at the 26th failure
+    "one-family-every-diagram": (8, {(1, 2)}, lambda t: 9, True),
+    # every family at t = 5 as at t = 4, so the grid equals the one at t = 4,
+    # while ad = da + (q - q^-1) bc now applies to the submatrix cornered at
+    # (2, 2)
+    "lagging-grid": (5, set(ALL_WHITE_3X3.shape.coords()), lambda t: t - 1, False),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize(
+    "suite, oracle",
+    [(run_relations, oracles.oracle_relations),
+     (run_lindstrom, oracles.oracle_lindstrom)],
+)
+def test_faulty_selection_fails_both_routes_at_its_threshold(
+    monkeypatch, suite, oracle, fault
+):
+    t, coords, source, every_diagram = FAULTS[fault]
+    _select_as_at(monkeypatch, ALL_WHITE_3X3, t, coords, source, every_diagram)
+    rep, want = suite(3, 3), oracle(3, 3)
+    assert rep.to_json() == want.to_json()
+    assert rep.failures and not rep.passed
+    if every_diagram:
+        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+        assert {f["t"] for f in rep.failures[:-1]} == {t}
+    else:
+        assert {(f["diagram"], f["t"]) for f in rep.failures} == {(".../.../...", t)}
+
+
+def test_negative_sample_count_is_refused():
+    # a negative count once sliced the sample queue from the end and passed
+    d = Diagram.from_text("##./#../...")
+    with pytest.raises(ValueError, match="samples"):
+        groebner_check(HPrimeHandle(d, 9), samples=-1)
+    with pytest.raises(ValueError, match="samples"):
+        run_groebner(samples=-1, diagram=d, t=9)
+    with pytest.raises(ValueError, match="samples"):
+        run_ddalg(2, 2, samples=-1)
 
 
 def _shift_relation_q(monkeypatch):
