@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""One timed run of each stress case that perfbench leaves out.
+
+  5x5-check  groebner_check on .#.../#..../...../...../..... at t = 25,
+             samples=20, seed 0; the digest is the sha256 of its JSON report
+  6x6-basis  groebner_basis(check=True) on .###.#/..#.../#.#.../###.../..#.../#.....
+             at t = 36; the digest is the sha256 of its spec list
+
+Each case runs in a fresh interpreter, so the process-wide caches start cold
+and the peak RSS is the case's own.  One line per case: name, seconds (the
+case alone, not the imports), peak RSS in MB and the digest.
+
+Usage: python scripts/stress_runs.py [case ...]   (default: every case)
+"""
+
+import hashlib
+import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = {
+    "5x5-check": ".#.../#..../...../...../.....",
+    "6x6-basis": ".###.#/..#.../#.#.../###.../..#.../#.....",
+}
+
+
+def run_case(name: str) -> dict:
+    """Run one case in this process; returns its seconds, peak RSS and
+    digest."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from qmpaths.cauchon import Diagram
+    from qmpaths.groebner import groebner_basis, groebner_check
+    from qmpaths.minors import HPrimeHandle
+
+    d = Diagram.from_text(CASES[name])
+    start = time.perf_counter()
+    h = HPrimeHandle(d, d.shape.mn)
+    if name == "5x5-check":
+        out = groebner_check(h, samples=20, seed=0).to_json()
+    else:
+        out = groebner_basis(h, check=True).spec_strings()
+    seconds = time.perf_counter() - start
+    text = json.dumps(out, sort_keys=True)
+    return {
+        "case": name,
+        "seconds": round(seconds, 2),
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--worker"]:
+        print(json.dumps(run_case(argv[1])))
+        return 0
+    names = argv or list(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; "
+              f"choose from {', '.join(CASES)}", file=sys.stderr)
+        return 2
+    for name in names:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--worker", name],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            print(f"{name}: failed\n{proc.stderr}", file=sys.stderr)
+            return 1
+        r = json.loads(proc.stdout)
+        print(f"{r['case']:10s} {r['seconds']:8.2f} s {r['peak_rss_mb']:7.1f} MB"
+              f"  sha256 {r['sha256']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

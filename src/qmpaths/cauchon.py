@@ -550,24 +550,27 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     if hit is not None:
         g._vdps_cache[key] = hit
         return hit
-    systems = []
-
-    def rec(idx, used, acc):
-        if idx == len(choices):
-            systems.append(tuple(acc))
-            return
-        fam = choices[idx]
-        for path, pset in zip(fam, fam.vertex_sets):
-            if not used.isdisjoint(pset):
-                continue
-            acc.append(path)
-            rec(idx + 1, used | pset, acc)
-            acc.pop()
-
-    rec(0, frozenset(), [])
+    systems: list = []
+    _disjoint_systems(choices, 0, frozenset(), [], systems)
     systems = g._systems_cache[shared] = g._vdps_cache[key] = _Systems(systems)
     systems.families = tuple(choices)
     return systems
+
+
+def _disjoint_systems(choices, idx, used, acc, out) -> None:
+    """Append to `out` every completion of the partial system `acc` (paths
+    from choices[:idx], covering the vertices `used`) by one path from
+    each of the families choices[idx:], disjoint from all the others."""
+    if idx == len(choices):
+        out.append(tuple(acc))
+        return
+    fam = choices[idx]
+    for path, pset in zip(fam, fam.vertex_sets):
+        if not used.isdisjoint(pset):
+            continue
+        acc.append(path)
+        _disjoint_systems(choices, idx + 1, used | pset, acc, out)
+        acc.pop()
 
 
 def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
@@ -593,15 +596,19 @@ def disjoint_pick_exists(choices) -> bool:
     nonempty; it backtracks over the lists in order and stops at the first
     disjoint pick.
     """
+    return _disjoint_pick_from(choices, 0, frozenset())
+
+
+def _disjoint_pick_from(choices, idx, used) -> bool:
+    """Whether picks from choices[idx:] exist, disjoint from each other and
+    from the vertices `used`."""
     last = len(choices) - 1
-
-    def rec(idx, used):
-        for pset in choices[idx]:
-            if used.isdisjoint(pset) and (idx == last or rec(idx + 1, used | pset)):
-                return True
-        return False
-
-    return rec(0, frozenset())
+    for pset in choices[idx]:
+        if used.isdisjoint(pset) and (
+            idx == last or _disjoint_pick_from(choices, idx + 1, used | pset)
+        ):
+            return True
+    return False
 
 
 def system_weight(g: CauchonGraph, system) -> TorusElement:

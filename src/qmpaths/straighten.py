@@ -150,23 +150,24 @@ def _count_tables(rows: tuple, cols: tuple) -> int:
     """Number of nonnegative integer matrices with given row/column sums."""
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
-    r0, rest = rows[0], rows[1:]
+    return _place_row(rows[1:], 0, rows[0], cols)
+
+
+def _place_row(rest: tuple, idx: int, remaining: int, cols: tuple) -> int:
+    """Number of tables with row sums `rest` under the first row, summed over
+    the ways to spread `remaining` of that row over the columns idx, ...;
+    `cols` holds the column sums still to fill."""
+    if idx == len(cols) - 1:
+        if remaining > cols[idx]:
+            return 0
+        new_cols = list(cols)
+        new_cols[idx] -= remaining
+        return _count_tables(rest, tuple(new_cols))
     total = 0
-
-    def place(idx, remaining, cols_acc):
-        nonlocal total
-        if idx == len(cols_acc) - 1:
-            if remaining <= cols_acc[idx]:
-                new_cols = list(cols_acc)
-                new_cols[idx] -= remaining
-                total += _count_tables(rest, tuple(new_cols))
-            return
-        for e in range(min(remaining, cols_acc[idx]) + 1):
-            new_cols = list(cols_acc)
-            new_cols[idx] -= e
-            place(idx + 1, remaining - e, tuple(new_cols))
-
-    place(0, r0, cols)
+    for e in range(min(remaining, cols[idx]) + 1):
+        new_cols = list(cols)
+        new_cols[idx] -= e
+        total += _place_row(rest, idx + 1, remaining - e, tuple(new_cols))
     return total
 
 

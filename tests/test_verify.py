@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -6,8 +7,9 @@ import pytest
 import oracles
 from qmpaths import cauchon, minors, verify
 from qmpaths.torus import Shape
-from qmpaths.cauchon import Diagram
-from qmpaths.groebner import groebner_check
+from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
+from qmpaths.groebner import groebner_check, hprime_minors
+from qmpaths.straighten import GradeVector, _count_tables, count_terms_in_grade
 from qmpaths.minors import HPrimeHandle
 from qmpaths.verify import SUITES, run_ddalg, run_groebner, run_lindstrom, run_relations
 
@@ -186,3 +188,23 @@ def test_report_elapsed_uses_a_monotonic_clock(monkeypatch):
     monkeypatch.setattr(time, "time", stepped)
     rep = run_relations(2, 2)
     assert rep.passed and rep.elapsed >= 0.0
+
+
+def test_path_searches_leave_no_reference_cycles():
+    # the backtracking searches (path systems, disjoint picks, tables of a
+    # grade) recurse through module-level helpers, not closures that refer
+    # to themselves, so what they build is freed without the cyclic
+    # collector; with closures, run_lindstrom(3, 3) alone left 90,036
+    # objects to it
+    diagrams = list(enumerate_cauchon_diagrams(Shape(3, 3)))[::10]
+    _count_tables.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        run_lindstrom(3, 3)
+        for d in diagrams:
+            hprime_minors(HPrimeHandle(d, 9))
+        assert count_terms_in_grade(GradeVector((2, 3, 1), (1, 2, 3))) > 0
+        assert gc.collect() < 1000
+    finally:
+        gc.enable()
