@@ -8,7 +8,9 @@
 
 Each case runs in a fresh interpreter, so the process-wide caches start cold
 and the peak RSS is the case's own.  One line per case: name, seconds (the
-case alone, not the imports), peak RSS in MB and the digest.
+case alone, not the imports), peak RSS in MB and the digest.  Each digest is
+checked against the committed one in DIGESTS; on a difference a `digest
+mismatch` line goes to stderr and the exit status is 1.
 
 Usage: python scripts/stress_runs.py [case ...]   (default: every case)
 """
@@ -26,6 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = {
     "5x5-check": ".#.../#..../...../...../.....",
     "6x6-basis": ".###.#/..#.../#.#.../###.../..#.../#.....",
+}
+
+DIGESTS = {
+    "5x5-check": "e379fdcd926d8b0515ab6e5ce4d1da29aed92f59033a95d8f7df23386c09b697",
+    "6x6-basis": "3f9ed5c1c3756b6793f461848aa4f316b0dac8232e92fadedbf2e77c711030b4",
 }
 
 
@@ -56,6 +63,19 @@ def run_case(name: str) -> dict:
     }
 
 
+def run_worker(name: str) -> dict | None:
+    """Run one case in a fresh interpreter; its result, or None after
+    printing the worker's stderr."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", name],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        print(f"{name}: failed\n{proc.stderr}", file=sys.stderr)
+        return None
+    return json.loads(proc.stdout)
+
+
 def main(argv) -> int:
     if argv[:1] == ["--worker"]:
         print(json.dumps(run_case(argv[1])))
@@ -66,18 +86,18 @@ def main(argv) -> int:
         print(f"unknown case(s): {', '.join(unknown)}; "
               f"choose from {', '.join(CASES)}", file=sys.stderr)
         return 2
+    status = 0
     for name in names:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", name],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            print(f"{name}: failed\n{proc.stderr}", file=sys.stderr)
+        r = run_worker(name)
+        if r is None:
             return 1
-        r = json.loads(proc.stdout)
         print(f"{r['case']:10s} {r['seconds']:8.2f} s {r['peak_rss_mb']:7.1f} MB"
               f"  sha256 {r['sha256']}")
-    return 0
+        if r["sha256"] != DIGESTS[name]:
+            print(f"{name}: digest mismatch: expected {DIGESTS[name]}",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
 from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar, _norm_coeff
-from .torus import Coord, MonoKey, Shape, add_parts, mono_key, to_scalar
+from .torus import EMPTY_KEY, Coord, MonoKey, Shape, add_parts, to_scalar
 from .cauchon import disjoint_pick_exists, enumerate_gamma
 from .straighten import (
     QmPoly,
@@ -54,8 +54,13 @@ class BasisElement:
     lt_key: MonoKey
     bare: bool = False
 
-    def __str__(self):
+    @cached_property
+    def name(self) -> str:
+        """The element's name, built on first use and kept."""
         return ("x" if self.bare else "") + str(self.spec)
+
+    def __str__(self):
+        return self.name
 
 
 def _support_mask(key: MonoKey, n: int) -> int:
@@ -95,7 +100,7 @@ class GroebnerBasis:
         return len(self.elements)
 
     def spec_strings(self) -> list:
-        return [str(e) for e in self.elements]
+        return [e.name for e in self.elements]
 
     def drop(self, index: int) -> "GroebnerBasis":
         """Basis with the element at a tuple index removed (negative indices
@@ -252,7 +257,7 @@ def _lex_key(key: MonoKey) -> tuple:
     have one; a key that runs out first has a zero entry at the other's next
     coordinate and is the shorter tuple.
     """
-    return tuple((-i, -j, e) for i, j, e in key)
+    return tuple([(-i, -j, e) for i, j, e in key])
 
 
 def _divisor(basis: GroebnerBasis, key: MonoKey):
@@ -287,8 +292,9 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     because leading terms strictly decrease within the finitely many exponent
     matrices of the grades present.
 
-    The work polynomial is a copy of a's parts ({key: {q-exponent: n}}),
-    each product g * x^c comes from `times_monomial` in that form, and a
+    The work polynomial is a's parts ({key: {q-exponent: n}}), copied at
+    the first step, so a reduction that takes none returns a itself; each
+    product g * x^c comes from `times_monomial` in that form, and a
     LaurentScalar is built only for each step's scale.
     """
     h = basis.handle
@@ -303,13 +309,15 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     # every key counts itself in its grade, so cap >= 1 + len(a):
     # the cap is needed only past that many steps
     free_steps, cap = 1 + len(a), None
-    work = {key: dict(parts) for key, parts in a._terms.items()}
+    work = a._terms
     steps = 0
     while work:
         lt_key = max(work, key=_lex_key)
         hit = _divisor(basis, lt_key)
         if hit is None:
             break
+        if not steps:
+            work = {key: dict(parts) for key, parts in work.items()}
         steps += 1
         if steps > free_steps:
             if cap is None:
@@ -346,8 +354,9 @@ def apply_trace(basis: GroebnerBasis, trace) -> QmPoly:
         prod = times_monomial(basis.elements[step.index].poly, step.cofactor)
         for key, powers in prod.items():
             add_parts(total, key, powers.items(), step.scale.terms)
-    zero = QmPoly.zero(basis.handle.shape, basis.handle.threshold)
-    return zero._like(total)
+    if not basis.elements:
+        return QmPoly.zero(basis.handle.shape, basis.handle.threshold)
+    return basis.elements[0].poly._like(total)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +367,17 @@ _COEFF_POOL = (ONE, -ONE, Q, -Q, Q_INV, -Q_INV, LAM)
 
 
 def _random_monomial_key(rng, shape, max_degree) -> MonoKey:
+    """The key of a product of up to max_degree random generators, built
+    sorted from the drawn coordinates."""
     deg = rng.randint(0, max_degree)
     coords = shape.coords()
-    return mono_key(
-        (*rng.choice(coords), 1) for _ in range(deg)
-    )
+    key: list = []
+    for i, j in sorted([rng.choice(coords) for _ in range(deg)]):
+        if key and key[-1][0] == i and key[-1][1] == j:
+            key[-1] = (i, j, key[-1][2] + 1)
+        else:
+            key.append((i, j, 1))
+    return tuple(key)
 
 
 def random_kernel_element(
@@ -388,27 +403,30 @@ def random_kernel_element(
 
 
 def _random_right_combination(handle, basis, rng):
-    shape, t = handle.shape, handle.t
-    total = QmPoly.zero(shape, t)
+    """One or two terms coeff * g * x^key, summed into one parts dict."""
     if not basis.elements:
-        return total
+        return QmPoly.zero(handle.shape, handle.threshold)
+    shape = handle.shape
+    total: dict = {}
     for _ in range(rng.randint(1, 2)):
         e = rng.choice(basis.elements)
         key = _random_monomial_key(rng, shape, 2)
         coeff = rng.choice(_COEFF_POOL)
-        total = total + (e.poly * total._like({key: {0: 1}})).scale(coeff)
-    return total
+        for k, parts in times_monomial(e.poly, key).items():
+            add_parts(total, k, parts.items(), coeff.terms)
+    return e.poly._like(total)
 
 
 def random_nonkernel_element(handle: HPrimeHandle, rng) -> QmPoly:
     """Pseudo-random element with nonzero evaluation: random terms plus a
     constant, nudged until sigma is visibly nonzero."""
-    shape, t = handle.shape, handle.t
-    terms = [(mono_key(()), rng.choice(_COEFF_POOL))]
+    shape, t = handle.shape, handle.threshold
+    terms: dict = {}
+    add_parts(terms, EMPTY_KEY, rng.choice(_COEFF_POOL).terms, ONE.terms)
     for _ in range(rng.randint(0, 2)):
-        terms.append((_random_monomial_key(rng, shape, 3),
-                      rng.choice(_COEFF_POOL)))
-    a = QmPoly(shape, t, terms)
+        key = _random_monomial_key(rng, shape, 3)
+        add_parts(terms, key, rng.choice(_COEFF_POOL).terms, ONE.terms)
+    a = QmPoly.zero(shape, t)._like(terms)
     bump = 1
     while sigma(handle, a).is_zero():
         a = a + QmPoly.one(shape, t).scale(bump)
@@ -455,7 +473,10 @@ def groebner_check(
 
     Every sampled kernel element must (i) be confirmed by sigma, (ii) have
     its leading term divisible by a basis leading term, and (iii) reduce to
-    zero; sampled non-kernel elements must reduce to nonzero remainders.
+    zero; sampled non-kernel elements must reduce to nonzero remainders
+    that differ from them by a kernel element.  A reduction that takes no
+    step returns the sample itself, so that difference is zero, which lies
+    in the kernel: it is neither built nor evaluated.
     The first samples are the basis elements themselves, in basis order, so
     deleting a member of a minimal basis is guaranteed to surface a failure
     when it is among the first `samples` elements of the full basis; a
@@ -509,9 +530,9 @@ def groebner_check(
     for _ in range(samples):
         a = random_nonkernel_element(handle, rng)
         report.checked_nonkernel += 1
-        rem, _trace = reduce(a, basis)
+        rem, trace = reduce(a, basis)
         if rem.is_zero():
             witness("nonkernel-reduced-to-zero", a)
-        elif not kernel_member(handle, a - rem):
+        elif trace and not kernel_member(handle, a - rem):
             witness("reduction-left-the-ideal", a)
     return report

@@ -116,11 +116,36 @@ EMPTY_KEY: MonoKey = ()
 
 
 def key_add(a: MonoKey, b: MonoKey) -> MonoKey:
+    """The key of a + b, by one merge walk over the two sorted keys.
+
+    Entries at a coordinate both keys have are summed, and dropped when
+    they cancel; every other entry is its input's own (i, j, e) triple,
+    shared rather than rebuilt, and an empty operand returns the other key
+    itself.  Equal to `mono_key(a + b)` without its dict and sort.
+    """
     if not a:
         return b
     if not b:
         return a
-    return mono_key(a + b)
+    out = []
+    append = out.append
+    x = y = 0
+    na, nb = len(a), len(b)
+    while x < na and y < nb:
+        u, v = a[x], b[y]
+        if u[0] == v[0] and u[1] == v[1]:
+            e = u[2] + v[2]
+            if e:
+                append((u[0], u[1], e))
+            x += 1
+            y += 1
+        elif u < v:
+            append(u)
+            x += 1
+        else:
+            append(v)
+            y += 1
+    return tuple(out) + a[x:] + b[y:]
 
 
 def key_neg(a: MonoKey) -> MonoKey:

@@ -31,11 +31,16 @@ the powers of q - q^{-1} once per result key; the polynomial product,
 
 The Groebner-layer oracles are the slower library routes that the fast ones
 replaced: the kernel minors by one path-system search per minor
-(`minor_in_kernel`), and reduction and trace replay on QmPoly arithmetic,
-one `QmPoly.__mul__` per step.
+(`minor_in_kernel`), reduction and trace replay on QmPoly arithmetic,
+one `QmPoly.__mul__` per step, the random samples built by QmPoly sums term
+by term, and the randomized check that evaluates every non-kernel sample's
+difference from its remainder.  A key sum's oracle canonicalizes the
+concatenated keys.
 """
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 from qmpaths.cauchon import (
@@ -49,8 +54,13 @@ from qmpaths.cauchon import (
     system_weight,
 )
 from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, q_power
-from qmpaths.groebner import ReductionStep
-from qmpaths.minors import HPrimeHandle, MinorSpec, minor_in_kernel, minor_poly, sigma
+from qmpaths.groebner import (
+    _COEFF_POOL, GroebnerReport, ReductionStep, apply_trace, groebner_basis, reduce,
+)
+from qmpaths.minors import (
+    HPrimeHandle, MinorSpec, clear_denominator, dd_forward, kernel_member,
+    minor_in_kernel, minor_poly, sigma,
+)
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import (
     EMPTY_KEY, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
@@ -775,3 +785,112 @@ def oracle_apply_trace(basis, trace):
         prod = e.poly * QmPoly.monomial(shape, th, step.cofactor)
         total = total + prod.scale(step.scale)
     return total
+
+
+def oracle_key_add(a, b):
+    """The key of a + b: the concatenated keys canonicalized."""
+    return mono_key(a + b)
+
+
+def oracle_random_monomial_key(rng, shape, max_degree):
+    """A random key of degree at most max_degree by `mono_key` over the
+    drawn generators."""
+    deg = rng.randint(0, max_degree)
+    coords = shape.coords()
+    return mono_key((*rng.choice(coords), 1) for _ in range(deg))
+
+
+def oracle_random_right_combination(handle, basis, rng):
+    """One or two terms coeff * g * x^key added up as QmPolys, with the same
+    rng draws in the same order as the library's builder."""
+    shape, t = handle.shape, handle.t
+    total = QmPoly.zero(shape, t)
+    if not basis.elements:
+        return total
+    for _ in range(rng.randint(1, 2)):
+        e = rng.choice(basis.elements)
+        key = oracle_random_monomial_key(rng, shape, 2)
+        coeff = rng.choice(_COEFF_POOL)
+        total = total + (e.poly * QmPoly.monomial(shape, t, key)).scale(coeff)
+    return total
+
+
+def oracle_random_kernel_element(handle, basis, rng, low=None):
+    """`random_kernel_element` over `oracle_random_right_combination`."""
+    if low is not None and rng.random() < 0.3:
+        low_handle, low_basis = low()
+        if low_basis.elements:
+            b = oracle_random_right_combination(low_handle, low_basis, rng)
+            if not b.is_zero():
+                img, _h = clear_denominator(dd_forward(b))
+                if not img.is_zero():
+                    return img
+    return oracle_random_right_combination(handle, basis, rng)
+
+
+def oracle_random_nonkernel_element(handle, rng):
+    """A constant plus up to two random terms as one QmPoly from (key,
+    coefficient) pairs, nudged by constants until sigma is nonzero."""
+    shape, t = handle.shape, handle.t
+    terms = [(mono_key(()), rng.choice(_COEFF_POOL))]
+    for _ in range(rng.randint(0, 2)):
+        terms.append((oracle_random_monomial_key(rng, shape, 3),
+                      rng.choice(_COEFF_POOL)))
+    a = QmPoly(shape, t, terms)
+    bump = 1
+    while sigma(handle, a).is_zero():
+        a = a + QmPoly.one(shape, t).scale(bump)
+        bump += 1
+    return a
+
+
+def oracle_groebner_check(handle, samples=200, seed=0, basis=None):
+    """`groebner_check` on the oracle sample builders, with every non-kernel
+    sample's difference a - rem built and evaluated, also when the reduction
+    took no step."""
+    full_basis = groebner_basis(handle, check=False)
+    if basis is None:
+        basis = full_basis
+    rng = random.Random(seed)
+    report = GroebnerReport(
+        diagram=handle.diagram.to_inline(),
+        t=handle.t,
+        basis=[("x" if e.bare else "") + str(e.spec) for e in basis.elements],
+        samples=samples,
+    )
+
+    def witness(kind, a, detail=""):
+        report.failures.append({"kind": kind, "element": repr(a), "detail": detail})
+
+    low = None
+    if handle.t >= 2 and handle.rs not in handle.diagram.black:
+        low_handle = handle.at(handle.t - 1)
+        low = cache(lambda: (low_handle, groebner_basis(low_handle, check=False)))
+    queue = [e.poly for e in full_basis.elements]
+    while len(queue) < samples:
+        queue.append(oracle_random_kernel_element(handle, full_basis, rng, low=low))
+    for a in queue[:samples]:
+        if a.is_zero():
+            continue
+        report.checked_kernel += 1
+        if not kernel_member(handle, a):
+            witness("sample-not-in-kernel", a)
+            continue
+        rem, trace = reduce(a, basis)
+        if not trace:
+            witness("leading-term-not-divisible", a)
+            continue
+        if not rem.is_zero():
+            witness("nonzero-remainder", a, detail=repr(rem))
+            continue
+        if apply_trace(basis, trace) != a:
+            witness("trace-mismatch", a)
+    for _ in range(samples):
+        a = oracle_random_nonkernel_element(handle, rng)
+        report.checked_nonkernel += 1
+        rem, _trace = reduce(a, basis)
+        if rem.is_zero():
+            witness("nonkernel-reduced-to-zero", a)
+        elif not kernel_member(handle, a - rem):
+            witness("reduction-left-the-ideal", a)
+    return report

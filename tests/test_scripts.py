@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run from the repository root."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,27 @@ def test_hprime_census_runs():
     proc = run_script("scripts/hprime_census.py", "2", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _stress_runs():
+    spec = importlib.util.spec_from_file_location(
+        "stress_runs", ROOT / "scripts" / "stress_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stress_runs_flags_a_digest_mismatch(monkeypatch, capsys):
+    # the worker is replaced, so no stress case runs
+    stress = _stress_runs()
+    results = {name: {"case": name, "seconds": 0.0, "peak_rss_mb": 0.0,
+                      "sha256": digest}
+               for name, digest in stress.DIGESTS.items()}
+    monkeypatch.setattr(stress, "run_worker", lambda name: results[name])
+    assert stress.main([]) == 0
+    assert "digest mismatch" not in capsys.readouterr().err
+    results["6x6-basis"] = dict(results["6x6-basis"], sha256="0" * 64)
+    assert stress.main([]) == 1
+    out, err = capsys.readouterr()
+    assert "5x5-check" in out and "6x6-basis" in out
+    assert "6x6-basis: digest mismatch" in err

@@ -8,6 +8,8 @@ from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import (
     Shape,
     TorusElement,
+    key_add,
+    key_neg,
     mono_key,
     monomial_inverse,
     monomial_mul,
@@ -15,7 +17,7 @@ from qmpaths.torus import (
     t_gen,
 )
 
-from oracles import oracle_monomial_mul, oracle_torus_mul, random_coeff
+from oracles import oracle_key_add, oracle_monomial_mul, oracle_torus_mul, random_coeff
 
 coords23 = st.tuples(st.integers(1, 2), st.integers(1, 3))
 keys23 = st.builds(
@@ -195,3 +197,46 @@ def test_torus_mul_matches_the_scalar_per_key_oracle():
         for x, y in ((m, m.inverse()), (m.inverse(), m), (m.inverse(), a)):
             assert x * y == oracle_torus_mul(x, y)
         assert m * m.inverse() == TorusElement.one(sh)
+
+
+def test_key_add_merges_like_the_oracle():
+    # negative exponents, sums that cancel in part or in full, empty and
+    # disjoint operands; every entry at a coordinate only one operand has
+    # is that operand's own triple, and an empty operand returns the other
+    rng = random.Random(16)
+    sh = Shape(3, 3)
+    coords = sh.coords()
+    kinds = {"random": 0, "cancel": 0, "disjoint": 0, "empty": 0}
+    for _ in range(3000):
+        a = _random_key(rng, sh)
+        kind = rng.choice(list(kinds))
+        if kind == "random":
+            b = _random_key(rng, sh)
+        elif kind == "cancel":
+            part = key_neg(tuple(e for e in a if rng.random() < 0.7))
+            b = oracle_key_add(part, _random_key(rng, sh)) if rng.random() < 0.5 else part
+        elif kind == "disjoint":
+            used = {(i, j) for i, j, _e in a}
+            free = [c for c in coords if c not in used]
+            b = mono_key((i, j, rng.choice((-1, 2))) for i, j in rng.sample(free, 3))
+        else:
+            b = ()
+        if rng.random() < 0.5:
+            a, b = b, a
+        kinds[kind] += 1
+        out = key_add(a, b)
+        assert out == oracle_key_add(a, b)
+        if not a or not b:
+            assert out is (b if not a else a)
+        in_a = {e[:2]: e for e in a}
+        in_b = {e[:2]: e for e in b}
+        for entry in out:
+            c = entry[:2]
+            if c not in in_b:
+                assert entry is in_a[c]
+            elif c not in in_a:
+                assert entry is in_b[c]
+    assert min(kinds.values()) > 500
+    assert key_add((), ()) == ()
+    x = mono_key([(1, 1, 2), (2, 3, -1)])
+    assert key_add(x, key_neg(x)) == ()
