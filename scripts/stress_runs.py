@@ -5,6 +5,9 @@
              samples=20, seed 0; the digest is the sha256 of its JSON report
   6x6-basis  groebner_basis(check=True) on .###.#/..#.../#.#.../###.../..#.../#.....
              at t = 36; the digest is the sha256 of its spec list
+  enum-5x5   enumerate_cauchon_diagrams on the 5x5 grid (329,462 diagrams);
+             the digest is the sha256 of their inline strings in order, each
+             followed by a newline, fed to the hash as they are enumerated
 
 Each case runs in a fresh interpreter, so the process-wide caches start cold
 and the peak RSS is the case's own.  One line per case: name, seconds (the
@@ -28,11 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = {
     "5x5-check": ".#.../#..../...../...../.....",
     "6x6-basis": ".###.#/..#.../#.#.../###.../..#.../#.....",
+    "enum-5x5": "...../...../...../...../.....",  # only its shape is read
 }
 
 DIGESTS = {
     "5x5-check": "e379fdcd926d8b0515ab6e5ce4d1da29aed92f59033a95d8f7df23386c09b697",
     "6x6-basis": "3f9ed5c1c3756b6793f461848aa4f316b0dac8232e92fadedbf2e77c711030b4",
+    "enum-5x5": "a742ad635e8bc5e167c1392421d475ca168180b5cfdf15c68463ce4e4242a3b4",
 }
 
 
@@ -40,26 +45,31 @@ def run_case(name: str) -> dict:
     """Run one case in this process; returns its seconds, peak RSS and
     digest."""
     sys.path.insert(0, str(ROOT / "src"))
-    from qmpaths.cauchon import Diagram
+    from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
     from qmpaths.groebner import groebner_basis, groebner_check
     from qmpaths.minors import HPrimeHandle
 
     d = Diagram.from_text(CASES[name])
+    digest = hashlib.sha256()
     start = time.perf_counter()
-    h = HPrimeHandle(d, d.shape.mn)
-    if name == "5x5-check":
-        out = groebner_check(h, samples=20, seed=0).to_json()
+    if name == "enum-5x5":
+        for e in enumerate_cauchon_diagrams(d.shape):
+            digest.update(e.to_inline().encode() + b"\n")
     else:
-        out = groebner_basis(h, check=True).spec_strings()
+        h = HPrimeHandle(d, d.shape.mn)
+        if name == "5x5-check":
+            out = groebner_check(h, samples=20, seed=0).to_json()
+        else:
+            out = groebner_basis(h, check=True).spec_strings()
+        digest.update(json.dumps(out, sort_keys=True).encode())
     seconds = time.perf_counter() - start
-    text = json.dumps(out, sort_keys=True)
     return {
         "case": name,
         "seconds": round(seconds, 2),
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         ),
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
 
 

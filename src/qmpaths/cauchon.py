@@ -163,41 +163,52 @@ def is_cauchon(d: Diagram) -> bool:
 def enumerate_cauchon_diagrams(shape: Shape):
     """All Cauchon diagrams on the shape, each once.
 
-    Backtracks row by row; a candidate row is valid when each of its black
-    squares either extends a black prefix of the row or sits under an
-    all-black column so far.  Diagrams are emitted in increasing order of
-    their row-major 0/1 pattern (white = 0).
+    Backtracks row by row over n-bit row masks, column 1 the highest bit,
+    passing down the mask C of the columns black in every row so far.  A
+    black square under such a column is allowed, so a row mask is valid
+    exactly when its rightmost black square outside C has every square to
+    its left black: with k the lowest set bit of `bits & ~C`, when
+    `bits >> k == full >> k`.  The valid masks are listed once per column
+    mask, and each (row, mask) keeps its tuple of black coordinates, so a
+    diagram's black set is one frozenset of concatenated tuples.
+
+    Diagrams are emitted in increasing order of their row-major 0/1 pattern
+    (white = 0).  The order is load-bearing: seeded samples drawn from the
+    list (perfbench's groebner-check) and the order in which the verify
+    suites report failures depend on it.
     """
     m, n = shape.m, shape.n
-    row_patterns = []
-    for bits in range(1 << n):
-        row = tuple((bits >> (n - 1 - j)) & 1 for j in range(n))
-        row_patterns.append(row)
-    row_patterns.sort()
+    full = (1 << n) - 1
+    cells = [
+        [
+            tuple((i, j) for j in range(1, n + 1) if bits >> (n - j) & 1)
+            for bits in range(full + 1)
+        ]
+        for i in range(1, m + 1)
+    ]
+    choices = {}
 
-    def valid(row, col_allblack):
-        for j, b in enumerate(row):
-            if b and not col_allblack[j]:
-                if not all(row[jj] for jj in range(j)):
-                    return False
-        return True
+    def valid_masks(col_mask):
+        out = choices.get(col_mask)
+        if out is None:
+            out = choices[col_mask] = []
+            for bits in range(full + 1):
+                free = bits & ~col_mask
+                k = (free & -free).bit_length() - 1
+                if not free or bits >> k == full >> k:
+                    out.append((bits, col_mask & bits))
+        return out
 
-    def rec(i, rows, col_allblack):
-        if i == m:
-            black = frozenset(
-                (ri + 1, j + 1)
-                for ri, row in enumerate(rows)
-                for j, b in enumerate(row)
-                if b
-            )
-            yield Diagram(shape, black)
+    def rec(i, black, col_mask):
+        row = cells[i]
+        if i == m - 1:
+            for bits, _ in valid_masks(col_mask):
+                yield Diagram(shape, frozenset(black + row[bits]))
             return
-        for row in row_patterns:
-            if valid(row, col_allblack):
-                nxt = tuple(a and bool(b) for a, b in zip(col_allblack, row))
-                yield from rec(i + 1, rows + [row], nxt)
+        for bits, below in valid_masks(col_mask):
+            yield from rec(i + 1, black + row[bits], below)
 
-    yield from rec(0, [], tuple([True] * n))
+    yield from rec(0, (), full)
 
 
 # ---------------------------------------------------------------------------

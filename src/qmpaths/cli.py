@@ -106,14 +106,16 @@ def cmd_diagrams(args) -> int:
             f"shape has {shape.mn} squares, above the cap {args.cap} "
             "(raise with --cap)"
         )
-    diagrams = list(enumerate_cauchon_diagrams(shape))
     if args.count_only:
+        # counted as they are enumerated; no list is built
+        count = sum(1 for _ in enumerate_cauchon_diagrams(shape))
         _emit(
             args,
-            {"schema": SCHEMA, "m": shape.m, "n": shape.n, "count": len(diagrams)},
-            [str(len(diagrams))],
+            {"schema": SCHEMA, "m": shape.m, "n": shape.n, "count": count},
+            [str(count)],
         )
         return 0
+    diagrams = list(enumerate_cauchon_diagrams(shape))
     payload = {
         "schema": SCHEMA,
         "m": shape.m,

@@ -168,16 +168,31 @@ def commutation_form(a: MonoKey, b: MonoKey) -> int:
 
     Sums e_u * e_v * pair_commutation(u, v) over support pairs u in a, v in b
     with u lexicographically greater than v (the pairs a normal-ordering pass
-    actually transposes).
+    actually transposes).  Such a pair counts only when u and v share a row
+    (v to the west) or a column (v to the north), each time with -1, so one
+    merge walk keeps the running sums of b's entries strictly before u in
+    u's row and per column, and the form is -sum(e_u * (row + column sum)).
+    Strict order keeps a == b right (`monomial_inverse`).
     """
     total = 0
+    cols = {}
+    row, row_sum = None, 0
+    y, nb = 0, len(b)
     for ai, aj, ae in a:
-        for bi, bj, be in b:
-            if (ai, aj) > (bi, bj):
-                if ai == bi:
-                    total += ae * be * (1 if aj < bj else -1)
-                elif aj == bj:
-                    total += ae * be * (1 if ai < bi else -1)
+        while y < nb:
+            bi, bj, be = b[y]
+            if bi > ai or (bi == ai and bj >= aj):
+                break
+            cols[bj] = cols.get(bj, 0) + be
+            if bi == row:
+                row_sum += be
+            else:
+                row, row_sum = bi, be
+            y += 1
+        s = cols.get(aj, 0)
+        if row == ai:
+            s += row_sum
+        total -= ae * s
     return total
 
 

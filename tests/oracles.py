@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: literal adjacent transpositions for
-torus normal ordering, the torus product with one scalar per key, a full
-2^(mn) filter for diagram enumeration, a
+torus normal ordering, the commutation form summed pair by pair, the
+torus product with one scalar per key, a full 2^(mn) filter for diagram
+enumeration and the former row-tuple backtracker for its order, a
 from-scratch statement of the diagram condition, the permutation sum of a
 quantum minor, divisibility through a dense lookup, the paths between two
 vertices by a DFS that extends every partial path (one search per pair of
@@ -44,6 +45,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from qmpaths.cauchon import (
+    Diagram,
     build_graph,
     enumerate_cauchon_diagrams,
     enumerate_vdps,
@@ -139,6 +141,43 @@ def oracle_all_cauchon_sets(m, n):
         if oracle_is_cauchon(black, m, n):
             out.append(black)
     return out
+
+
+def oracle_enumerate_cauchon_diagrams(shape):
+    """All Cauchon diagrams in increasing row-major 0/1 order, by the
+    former backtracker: a candidate row tuple is valid when each black
+    square extends a black prefix of the row or sits under an all-black
+    column so far, checked square by square."""
+    m, n = shape.m, shape.n
+    row_patterns = []
+    for bits in range(1 << n):
+        row = tuple((bits >> (n - 1 - j)) & 1 for j in range(n))
+        row_patterns.append(row)
+    row_patterns.sort()
+
+    def valid(row, col_allblack):
+        for j, b in enumerate(row):
+            if b and not col_allblack[j]:
+                if not all(row[jj] for jj in range(j)):
+                    return False
+        return True
+
+    def rec(i, rows, col_allblack):
+        if i == m:
+            black = frozenset(
+                (ri + 1, j + 1)
+                for ri, row in enumerate(rows)
+                for j, b in enumerate(row)
+                if b
+            )
+            yield Diagram(shape, black)
+            return
+        for row in row_patterns:
+            if valid(row, col_allblack):
+                nxt = tuple(a and bool(b) for a, b in zip(col_allblack, row))
+                yield from rec(i + 1, rows + [row], nxt)
+
+    yield from rec(0, [], tuple([True] * n))
 
 
 def oracle_inversions(perm):
@@ -784,6 +823,18 @@ def oracle_apply_trace(basis, trace):
         e = basis.elements[step.index]
         prod = e.poly * QmPoly.monomial(shape, th, step.cofactor)
         total = total + prod.scale(step.scale)
+    return total
+
+
+def oracle_commutation_form(a, b):
+    """The commutation form by its definition: every pair u in a, v in b
+    with u lexicographically greater than v, weighted by
+    `pair_commutation`."""
+    total = 0
+    for ai, aj, ae in a:
+        for bi, bj, be in b:
+            if (ai, aj) > (bi, bj):
+                total += ae * be * pair_commutation((ai, aj), (bi, bj))
     return total
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from qmpaths.straighten import Threshold
 from oracles import (
     enumerate_paths_between,
     oracle_all_cauchon_sets,
+    oracle_enumerate_cauchon_diagrams,
     oracle_gamma,
     oracle_path_in_gamma,
     oracle_path_l,
@@ -78,7 +80,7 @@ def test_diagram_text_roundtrip():
         Diagram.from_text("#x/..")
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)])
 def test_enumeration_matches_brute_force(m, n):
     got = [d.black for d in enumerate_cauchon_diagrams(Shape(m, n))]
     assert len(set(got)) == len(got)
@@ -88,6 +90,61 @@ def test_enumeration_matches_brute_force(m, n):
 def test_enumeration_counts():
     assert len(list(enumerate_cauchon_diagrams(Shape(2, 2)))) == 14
     assert len(list(enumerate_cauchon_diagrams(Shape(1, 1, relaxed=True)))) == 2
+
+
+def _stirling2(n, k):
+    """Stirling number of the second kind, by its recurrence."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _poly_bernoulli(m, n):
+    """Arakawa-Kaneko closed form of the number of m x n Cauchon diagrams."""
+    return sum(
+        math.factorial(j) ** 2 * _stirling2(m + 1, j + 1) * _stirling2(n + 1, j + 1)
+        for j in range(min(m, n) + 1)
+    )
+
+
+ENUMERATION_SHAPES = [(m, n) for m in range(2, 5) for n in range(2, 5)] + [
+    (1, n) for n in range(1, 6)
+] + [(m, 1) for m in range(2, 6)]
+
+
+@pytest.mark.parametrize("m,n", ENUMERATION_SHAPES)
+def test_enumeration_order_equals_the_backtracking_oracle(m, n):
+    sh = Shape(m, n, relaxed=True)
+    got = [d.to_inline() for d in enumerate_cauchon_diagrams(sh)]
+    assert got == [d.to_inline() for d in oracle_enumerate_cauchon_diagrams(sh)]
+    assert all(d.shape == sh for d in enumerate_cauchon_diagrams(sh))
+
+
+def test_enumeration_counts_are_poly_bernoulli():
+    assert _poly_bernoulli(2, 2) == 14 and _poly_bernoulli(2, 5) == 454
+    shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5), (5, 2)]
+    for m, n in shapes:
+        sh = Shape(m, n, relaxed=True)
+        count = sum(1 for _ in enumerate_cauchon_diagrams(sh))
+        assert count == _poly_bernoulli(m, n), (m, n)
+    assert _poly_bernoulli(4, 4) == 6902
+
+
+def test_diagram_validates_its_squares():
+    sh = Shape(2, 2)
+    for bad in ([(3, 1)], [(0, 1)], [(1, 3)]):
+        with pytest.raises(ValueError):
+            Diagram.of(sh, bad)
+        with pytest.raises(ValueError):
+            Diagram(sh, frozenset(bad))
+    for bad in ([(True, 1)], [(1, False)]):
+        with pytest.raises(TypeError):
+            Diagram.of(sh, bad)
+        with pytest.raises(TypeError):
+            Diagram(sh, frozenset(bad))
+    assert Diagram.of(sh, [(2, 2)]).black == frozenset({(2, 2)})
 
 
 def test_enumeration_deterministic_order():

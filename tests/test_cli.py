@@ -21,6 +21,17 @@ def test_diagrams_count(capsys):
     assert out.strip() == "14"
 
 
+def test_diagrams_count_only_4x4(capsys):
+    code, out, _ = run_cli(capsys, "diagrams", "4", "4", "--count-only")
+    assert code == 0
+    assert out.strip() == "6902"
+    code, out, _ = run_cli(
+        capsys, "diagrams", "4", "4", "--count-only", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 6902
+
+
 def test_diagrams_relaxed_1x1(capsys):
     code, out, _ = run_cli(
         capsys, "diagrams", "1", "1", "--relaxed", "--count-only"

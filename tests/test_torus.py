@@ -8,6 +8,7 @@ from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import (
     Shape,
     TorusElement,
+    commutation_form,
     key_add,
     key_neg,
     mono_key,
@@ -17,7 +18,13 @@ from qmpaths.torus import (
     t_gen,
 )
 
-from oracles import oracle_key_add, oracle_monomial_mul, oracle_torus_mul, random_coeff
+from oracles import (
+    oracle_commutation_form,
+    oracle_key_add,
+    oracle_monomial_mul,
+    oracle_torus_mul,
+    random_coeff,
+)
 
 coords23 = st.tuples(st.integers(1, 2), st.integers(1, 3))
 keys23 = st.builds(
@@ -240,3 +247,31 @@ def test_key_add_merges_like_the_oracle():
     assert key_add((), ()) == ()
     x = mono_key([(1, 1, 2), (2, 3, -1)])
     assert key_add(x, key_neg(x)) == ()
+
+
+def test_commutation_form_merges_like_the_pair_oracle():
+    # keys of up to 12 entries with negative exponents on shapes up to 5x5,
+    # a == b (the inverse's form), shared rows and columns, and empty keys
+    rng = random.Random(17)
+    same = nonzero = 0
+    for _ in range(3000):
+        sh = Shape(rng.randint(1, 5), rng.randint(1, 5), relaxed=True)
+        a = mono_key(
+            (rng.randint(1, sh.m), rng.randint(1, sh.n), rng.choice((-3, -1, 1, 2)))
+            for _ in range(rng.randint(0, 12))
+        )
+        if rng.random() < 0.2:
+            b = a
+            same += 1
+        else:
+            b = mono_key(
+                (rng.randint(1, sh.m), rng.randint(1, sh.n), rng.choice((-2, -1, 1, 3)))
+                for _ in range(rng.randint(0, 12))
+            )
+        got = commutation_form(a, b)
+        assert got == oracle_commutation_form(a, b)
+        nonzero += got != 0
+        assert monomial_inverse(a)[0] == oracle_commutation_form(a, a)
+    assert same > 400 and nonzero > 1500
+    x = mono_key([(1, 1, 2), (1, 3, -1), (2, 1, 1)])
+    assert commutation_form(x, ()) == commutation_form((), x) == 0
