@@ -115,19 +115,20 @@ def cmd_diagrams(args) -> int:
             [str(count)],
         )
         return 0
-    diagrams = list(enumerate_cauchon_diagrams(shape))
+    if args.format == "text":
+        # each block printed as it is enumerated; nothing is kept
+        for d in enumerate_cauchon_diagrams(shape):
+            print(d.to_text() + "\n")
+        return 0
+    inline = [d.to_inline() for d in enumerate_cauchon_diagrams(shape)]
     payload = {
         "schema": SCHEMA,
         "m": shape.m,
         "n": shape.n,
-        "count": len(diagrams),
-        "diagrams": [d.to_inline() for d in diagrams],
+        "count": len(inline),
+        "diagrams": inline,
     }
-    lines = []
-    for d in diagrams:
-        lines.append(d.to_text())
-        lines.append("")
-    _emit(args, payload, lines)
+    _emit(args, payload, ())
     return 0
 
 

@@ -24,6 +24,8 @@ products; the lindstrom suite's is its former body, which decides every
 minor again at every threshold; a minor's path-system sum is
 `system_weight` summed over the systems; the vertex-disjoint systems are
 picked from the pruning-DFS families with a pairwise disjointness filter.
+The ddalg and groebner suites' oracles are their former bodies, which sweep
+every diagram in one process and report as they go.
 
 The straightening kernel's oracle is its former version, which carried
 each branch coefficient as {(a, b): n} for n q^a (q - q^{-1})^b and expanded
@@ -49,6 +51,7 @@ from qmpaths.cauchon import (
     build_graph,
     enumerate_cauchon_diagrams,
     enumerate_vdps,
+    family_grid,
     generator,
     generator_matrix,
     path_turns,
@@ -57,17 +60,18 @@ from qmpaths.cauchon import (
 )
 from qmpaths.coeff import LAM, ONE, ZERO, LaurentScalar, q_power
 from qmpaths.groebner import (
-    _COEFF_POOL, GroebnerReport, ReductionStep, apply_trace, groebner_basis, reduce,
+    _COEFF_POOL, GroebnerReport, ReductionStep, apply_trace, groebner_basis,
+    groebner_check, reduce,
 )
 from qmpaths.minors import (
-    HPrimeHandle, MinorSpec, clear_denominator, dd_forward, kernel_member,
+    HPrimeHandle, MinorSpec, clear_denominator, dd_backward, dd_forward, kernel_member,
     minor_in_kernel, minor_poly, sigma,
 )
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import (
     EMPTY_KEY, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
 )
-from qmpaths.verify import Report, _run, _shapes
+from qmpaths.verify import Report, _random_qmpoly, _run, _shapes
 
 
 def oracle_sort_word(word):
@@ -731,6 +735,84 @@ def oracle_lindstrom(max_m=3, max_n=3):
                             report.fail(
                                 diagram=d.to_inline(), t=t, minor=str(spec)
                             )
+
+    return _run(report, body)
+
+
+def oracle_ddalg(max_m=3, max_n=3, samples=500, seed=0):
+    """The ddalg suite in one process: the round trips per shape, then per
+    diagram and threshold the generator identities and the sigma
+    compatibility, each forward image built again.  Returns its Report."""
+    report = Report(
+        "ddalg", {"max": [max_m, max_n], "samples": samples, "seed": seed}
+    )
+
+    def body(report):
+        for shape in _shapes(max_m, max_n):
+            rng = random.Random(seed * 10000 + shape.m * 100 + shape.n)
+            for _ in range(samples):
+                t = rng.randint(2, shape.mn)
+                rs = shape.threshold_coord(t)
+                a = _random_qmpoly(shape, t - 1, rng)
+                report.checks += 1
+                if dd_backward(dd_forward(a)) != a.with_loc(rs):
+                    report.fail(kind="roundtrip-fwd-bwd", t=t, element=repr(a))
+                b = _random_qmpoly(shape, t, rng)
+                report.checks += 1
+                if dd_forward(dd_backward(b)) != b.with_loc(rs):
+                    report.fail(kind="roundtrip-bwd-fwd", t=t, element=repr(b))
+            for d in enumerate_cauchon_diagrams(shape):
+                base = HPrimeHandle(d, 1)
+                for t in range(2, shape.mn + 1):
+                    r, s = rs = shape.threshold_coord(t)
+                    in_b = d.is_black(rs)
+                    h_hi, h_lo = base.at(t), base.at(t - 1)
+                    hi = family_grid(base.graph, t)[0]
+                    lo = family_grid(base.graph, t - 1)[0]
+                    for (i, j) in shape.coords():
+                        x = hi[i - 1][j - 1].generator
+                        y = lo[i - 1][j - 1].generator
+                        report.checks += 1
+                        if in_b or i >= r or j >= s:
+                            if x != y:
+                                report.fail(
+                                    kind="generator-stability",
+                                    diagram=d.to_inline(), t=t, coord=[i, j],
+                                )
+                        elif x != y + (
+                            lo[i - 1][s - 1].generator
+                            * lo[r - 1][s - 1].generator.inverse()
+                            * lo[r - 1][j - 1].generator
+                        ):
+                            report.fail(
+                                kind="generator-derivation-identity",
+                                diagram=d.to_inline(), t=t, coord=[i, j],
+                            )
+                        if not in_b:
+                            report.checks += 1
+                            ygen = QmPoly.generator(shape, t - 1, (i, j))
+                            if sigma(h_hi, dd_forward(ygen)) != sigma(h_lo, ygen):
+                                report.fail(
+                                    kind="sigma-derivation-compat",
+                                    diagram=d.to_inline(), t=t, coord=[i, j],
+                                )
+
+    return _run(report, body)
+
+
+def oracle_groebner(max_m=3, max_n=3, samples=200, seed=0):
+    """The groebner suite in one process: `groebner_check` on every diagram
+    at the top threshold, its failures reported as they come.  Returns its
+    Report."""
+    report = Report("groebner", {"samples": samples, "seed": seed, "max": [max_m, max_n]})
+
+    def body(report):
+        for shape in _shapes(max_m, max_n):
+            for d in enumerate_cauchon_diagrams(shape):
+                sub = groebner_check(HPrimeHandle(d, shape.mn), samples=samples, seed=seed)
+                report.checks += sub.checked_kernel + sub.checked_nonkernel
+                for f in sub.failures:
+                    report.fail(diagram=d.to_inline(), t=shape.mn, **f)
 
     return _run(report, body)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,20 @@ def test_diagrams_count_only_4x4(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 6902
+
+
+def test_diagrams_4x4_listing_bytes(capsys):
+    # the text listing is printed as it is enumerated and the JSON listing
+    # keeps only the inline strings; the bytes are those of the listings
+    # built whole
+    want = {
+        "text": "f9905b31d3e7b48f035e58f7251d7a5297502efa2df9629e5447ae7c55061c80",
+        "json": "2e803888afcde633478a0407afee499134f0350c584bdabf32dd1b176b027bd2",
+    }
+    for fmt, digest in want.items():
+        code, out, _ = run_cli(capsys, "diagrams", "4", "4", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_diagrams_relaxed_1x1(capsys):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import time
 
 import pytest
@@ -12,6 +13,24 @@ from qmpaths.groebner import groebner_check, hprime_minors
 from qmpaths.straighten import GradeVector, _count_tables, count_terms_in_grade
 from qmpaths.minors import HPrimeHandle
 from qmpaths.verify import SUITES, run_ddalg, run_groebner, run_lindstrom, run_relations
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """The sweeps see `request.param` CPUs in the affinity mask, so each
+    forks that many less one workers whatever this machine has; afterwards
+    no worker may be left."""
+    n = request.param
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    yield n
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ON_1_AND_3_CPUS = pytest.mark.parametrize(
+    "cpus", [1, 3], indirect=True, ids=lambda n: f"{n}cpu"
+)
+ON_3_CPUS = pytest.mark.parametrize("cpus", [3], indirect=True, ids=lambda n: f"{n}cpu")
 
 
 def test_suite_registry():
@@ -119,6 +138,7 @@ FAULTS = {
 }
 
 
+@ON_1_AND_3_CPUS
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize(
     "suite, oracle",
@@ -126,7 +146,7 @@ FAULTS = {
      (run_lindstrom, oracles.oracle_lindstrom)],
 )
 def test_faulty_selection_fails_both_routes_at_its_threshold(
-    monkeypatch, suite, oracle, fault
+    monkeypatch, suite, oracle, fault, cpus
 ):
     t, coords, source, every_diagram = FAULTS[fault]
     _select_as_at(monkeypatch, ALL_WHITE_3X3, t, coords, source, every_diagram)
@@ -138,6 +158,127 @@ def test_faulty_selection_fails_both_routes_at_its_threshold(
         assert {f["t"] for f in rep.failures[:-1]} == {t}
     else:
         assert {(f["diagram"], f["t"]) for f in rep.failures} == {(".../.../...", t)}
+
+
+def _doubled_sigma_at(monkeypatch, level, diagrams):
+    # sigma at threshold `level` comes back doubled for the chosen 3x3
+    # diagrams, so every compatibility check across that level fails there
+    sigma = minors.sigma
+
+    def faulty(h, a):
+        value = sigma(h, a)
+        if h.t == level and h.shape == Shape(3, 3) and diagrams(h.diagram):
+            value = value + value
+        return value
+
+    monkeypatch.setattr(verify, "sigma", faulty)
+    monkeypatch.setattr(oracles, "sigma", faulty)
+
+
+SUITE_FAULTS = {
+    "one-diagram": lambda d: d == ALL_WHITE_3X3,
+    # about half of the 3x3 diagrams: the report truncates
+    "odd-black": lambda d: len(d.black) % 2 == 1,
+}
+
+
+@ON_1_AND_3_CPUS
+@pytest.mark.parametrize("fault", SUITE_FAULTS)
+def test_ddalg_equals_serial_oracle(monkeypatch, fault, cpus):
+    _doubled_sigma_at(monkeypatch, 5, SUITE_FAULTS[fault])
+    rep = run_ddalg(3, 3, samples=20, seed=3)
+    want = oracles.oracle_ddalg(3, 3, samples=20, seed=3)
+    assert rep.to_json() == want.to_json()
+    assert rep.failures and not rep.passed
+    if fault == "odd-black":
+        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+
+
+@ON_1_AND_3_CPUS
+@pytest.mark.parametrize("fault", SUITE_FAULTS)
+def test_groebner_equals_serial_oracle(monkeypatch, fault, cpus):
+    # each chosen 3x3 diagram's check reports one extra failure
+    check, chosen = verify.groebner_check, SUITE_FAULTS[fault]
+
+    def faulty(h, samples, seed):
+        sub = check(h, samples=samples, seed=seed)
+        if h.shape == Shape(3, 3) and chosen(h.diagram):
+            sub.failures.append({"kind": "injected", "element": "", "detail": ""})
+        return sub
+
+    monkeypatch.setattr(verify, "groebner_check", faulty)
+    monkeypatch.setattr(oracles, "groebner_check", faulty)
+    rep = run_groebner(3, 3, samples=4, seed=5)
+    want = oracles.oracle_groebner(3, 3, samples=4, seed=5)
+    assert rep.to_json() == want.to_json()
+    assert rep.failures and not rep.passed
+    if fault == "odd-black":
+        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+
+
+SHAPE_2X3 = Shape(2, 3)
+DIAGRAMS_2X3 = list(enumerate_cauchon_diagrams(SHAPE_2X3))
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+def _sweep_2x3(raise_at, exc):
+    # a sweep over the 46 2x3 diagrams with one check each, which raises
+    # `exc` at the diagram of index raise_at
+    def task(d):
+        if d == DIAGRAMS_2X3[raise_at]:
+            raise exc
+        return 1, []
+
+    report = verify.Report("sweep", {})
+    verify._sweep(report, SHAPE_2X3, task)
+    return report
+
+
+@ON_3_CPUS
+@pytest.mark.parametrize("raise_at", [0, 1, 2], ids=["parent", "worker-1", "worker-2"])
+def test_sweep_reraises_a_share_exception(raise_at, cpus):
+    # diagram k is swept by process k mod 3: the parent takes 0
+    with pytest.raises(ValueError, match="^diagram swept badly$"):
+        _sweep_2x3(raise_at, ValueError("diagram swept badly"))
+    with pytest.raises(KeyError) as info:
+        _sweep_2x3(raise_at, KeyError("missing"))
+    assert info.value.args == ("missing",)
+
+
+@ON_3_CPUS
+def test_sweep_names_the_exit_status_of_a_worker_without_result(cpus):
+    def task(d):
+        if d == DIAGRAMS_2X3[4]:  # swept by worker 1
+            os._exit(3)
+        return 1, []
+
+    with pytest.raises(verify.WorkerError, match=r"worker 1 of 3 .*exit status 3"):
+        verify._sweep(verify.Report("sweep", {}), SHAPE_2X3, task)
+
+
+@ON_3_CPUS
+def test_sweep_interrupted_in_the_parent_kills_its_workers(cpus):
+    # an exception the parent's share does not keep for the replay (here
+    # one that is not an Exception) ends the sweep at once
+    with pytest.raises(_Interrupted):
+        _sweep_2x3(0, _Interrupted())
+
+
+@ON_1_AND_3_CPUS
+def test_sweep_checks_and_truncation_replay_in_enumeration_order(cpus):
+    # diagram k makes k + 2 checks and fails at its second: the report stops
+    # at the 26th failure, in diagram 25, having counted its first two checks
+    def task(d):
+        k = DIAGRAMS_2X3.index(d)
+        return k + 2, [(2, {"k": k})]
+
+    report = verify._run(verify.Report("sweep", {}),
+                         lambda r: verify._sweep(r, SHAPE_2X3, task))
+    assert report.failures == [{"k": k} for k in range(25)] + [{"truncated": True}]
+    assert report.checks == sum(k + 2 for k in range(25)) + 2
 
 
 def test_negative_sample_count_is_refused():
