@@ -18,7 +18,9 @@ vertical-to-horizontal turns all sit at coordinates <= the t-th smallest
 coordinate (r, s).  The families are nested in t, and at t = mn gamma holds
 every row-i-to-column-j path, so each family is a filter over one search
 from row vertex i that records, per path, its weight monomial and its
-largest vertical-to-horizontal turn.
+largest vertical-to-horizontal turn.  The m x n families at one threshold
+form its family grid (`family_grid`), which the evaluation, the kernel
+sweep and the verify suites all read.
 """
 
 from __future__ import annotations
@@ -222,14 +224,14 @@ class CauchonGraph:
     first use: per row i, every path from row i to each column with its
     vertex set, weight monomial and largest reflected-L turn; per (threshold
     coordinate, i, j), the restricted family read off that list; and per
-    (threshold coordinate, I, J), the vertex-disjoint path systems.  A
-    family changes only at a threshold that passes one of its paths' turn
+    tuple of families, the vertex-disjoint path systems picked from them.
+    A family changes only at a threshold that passes one of its paths' turn
     bounds, so one family object is built per (i, j, largest bound at or
-    below the threshold) and stored under every threshold that selects it,
-    and one system tuple per tuple of families; `family_grid` keeps the
-    m x n families per threshold coordinate.  `minors.sigma` keeps its
-    generator images here per threshold coordinate.  Those objects are
-    shared by every caller and must not be mutated.
+    below the threshold) and stored under every threshold that selects it.
+    `family_grid` keeps the m x n families per threshold coordinate: the
+    one table that sigma's images, the kernel sweep and the verify suites
+    read.  Those objects are shared by every caller and must not be
+    mutated.
     """
 
     def __init__(self, diagram: Diagram):
@@ -272,13 +274,11 @@ class CauchonGraph:
                     break
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
         self._paths_cache: dict = {}  # row i -> path records per column
-        self._gamma_cache: dict = {}
+        self._gamma_cache: dict = {}  # (threshold coordinate, i, j) -> _Family
         self._grid_cache: dict = {}  # threshold coordinate -> family grid
-        self._vdps_cache: dict = {}
         self._family_cache: dict = {}  # (i, j, bound) -> _Family
         self._bounds_cache: dict = {}  # (i, j) -> sorted distinct path bounds
         self._systems_cache: dict = {}  # family keys -> systems
-        self._images: dict = {}  # threshold coordinate -> sigma's images
 
     def out_edges(self, v: Vertex) -> tuple:
         return self.out.get(v, ())
@@ -375,7 +375,9 @@ class _Family(tuple):
     `records`, and as `key` the (i, j, bound) it is stored under on its
     graph.  Built from those on first read: each path's weight monomial,
     `monomials`, {path: (q-exponent, key)}, which only path systems read,
-    and the weight sum as a TorusElement, `generator`."""
+    the weight sum as a TorusElement, `generator`, and the weights of its
+    inverse, `inverse_weights`, in the form of `weights`; only a monomial
+    generator (a white (i, j)) has one."""
 
     @cached_property
     def monomials(self) -> dict:
@@ -384,6 +386,11 @@ class _Family(tuple):
     @cached_property
     def generator(self) -> TorusElement:
         return TorusElement._from_counts(self.shape, self.weights)
+
+    @cached_property
+    def inverse_weights(self) -> dict:
+        inverse = self.generator.inverse()._terms
+        return {(k, p): n for k, c in inverse.items() for p, n in c.items()}
 
 
 def _row_paths(g: CauchonGraph, i: int) -> tuple:
@@ -504,10 +511,7 @@ def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
 
 
 def generator_matrix(g: CauchonGraph, t: int) -> tuple:
-    return tuple(
-        tuple(generator(g, t, i, j) for j in range(1, g.shape.n + 1))
-        for i in range(1, g.shape.m + 1)
-    )
+    return tuple(tuple(fam.generator for fam in row) for row in family_grid(g, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +544,10 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     Deterministic order: lexicographic in the per-index path enumeration
     order.  The order is load-bearing: the supremum of the family is the
     first system and the infimum the last (see `vdps_supremum`).  Requires
-    |I| == |J| >= 1.  The tuple is shared by every threshold that selects
-    the same families, and carries their weight sum (see `_Systems`).
+    |I| == |J| >= 1.  The systems depend on the families only, so the tuple
+    is cached on the graph under the families' keys, shared by every
+    threshold that selects them, and carries their weight sum (see
+    `_Systems`).
     """
     I = tuple(I)
     J = tuple(J)
@@ -549,22 +555,14 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
         raise ValueError("row and column index sets must have equal size")
     if not I:
         raise ValueError("index sets must be nonempty")
-    rs = g.shape.threshold_coord(t)
-    key = (rs, I, J)
-    hit = g._vdps_cache.get(key)
-    if hit is not None:
-        return hit
     choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
-    # the systems depend on the families only
-    shared = tuple(fam.key for fam in choices)
-    hit = g._systems_cache.get(shared)
-    if hit is not None:
-        g._vdps_cache[key] = hit
-        return hit
-    systems: list = []
-    _disjoint_systems(choices, 0, frozenset(), [], systems)
-    systems = g._systems_cache[shared] = g._vdps_cache[key] = _Systems(systems)
-    systems.families = tuple(choices)
+    key = tuple(fam.key for fam in choices)
+    systems = g._systems_cache.get(key)
+    if systems is None:
+        found: list = []
+        _disjoint_systems(choices, 0, frozenset(), [], found)
+        systems = g._systems_cache[key] = _Systems(found)
+        systems.families = tuple(choices)
     return systems
 
 
@@ -585,17 +583,17 @@ def _disjoint_systems(choices, idx, used, acc, out) -> None:
 
 
 def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
-    """Early-exit variant of enumerate_vdps."""
+    """Early-exit variant of enumerate_vdps; systems already enumerated for
+    the same families answer without a search."""
     I = tuple(I)
     J = tuple(J)
     if len(I) != len(J) or not I:
         raise ValueError("row and column index sets must match and be nonempty")
-    rs = g.shape.threshold_coord(t)
-    if (rs, I, J) in g._vdps_cache:
-        return bool(g._vdps_cache[(rs, I, J)])
-    return disjoint_pick_exists(
-        [enumerate_gamma(g, t, i, j).vertex_sets for i, j in zip(I, J)]
-    )
+    choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
+    systems = g._systems_cache.get(tuple(fam.key for fam in choices))
+    if systems is not None:
+        return bool(systems)
+    return disjoint_pick_exists([fam.vertex_sets for fam in choices])
 
 
 def disjoint_pick_exists(choices) -> bool:

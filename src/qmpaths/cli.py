@@ -53,6 +53,8 @@ def _shape(args) -> Shape:
 
 
 def _diagram(args, shape: Shape) -> Diagram:
+    if args.diagram_file is not None and args.diagram is not None:
+        raise UsageError("give --diagram or --diagram-file, not both")
     if args.diagram_file:
         try:
             with open(args.diagram_file) as fh:

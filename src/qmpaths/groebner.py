@@ -5,8 +5,10 @@ Cauchon diagram B at threshold t has a Groebner basis consisting of the
 generators x_{i,j} with (i,j) in B beyond the threshold coordinate, together
 with every quantum minor in the kernel whose maximum coordinate is at most
 the threshold coordinate.  At the top threshold t = mn the minors with no
-diagonal subminor in the kernel form a minimal basis.  No completion step is
-ever needed; reduction is plain right-division by leading terms.
+diagonal subminor in the kernel form a minimal basis; the sweep that finds
+the kernel minors finds them too, as the ones it has to search.  No
+completion step is ever needed; reduction is plain right-division by leading
+terms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 
 from .coeff import LAM, ONE, Q, Q_INV, LaurentScalar, _norm_coeff
 from .torus import EMPTY_KEY, Coord, MonoKey, Shape, add_parts, to_scalar
-from .cauchon import disjoint_pick_exists, enumerate_gamma
+from .cauchon import disjoint_pick_exists, family_grid
 from .straighten import (
     QmPoly,
     Threshold,
@@ -138,6 +140,44 @@ def _minor_candidates(rs: Coord, n: int) -> tuple:
     return tuple(out)
 
 
+def _kernel_sweep(handle: HPrimeHandle) -> tuple[list, list]:
+    """(kernel, searched): the minors with maximum coordinate at most the
+    threshold coordinate and empty path-system family, in (k, I, J) order,
+    and the sublist of those found empty by a search.
+
+    One sweep visits the minors in (k, I, J) order (`_minor_candidates`).
+    A k-minor with a diagonal (k-1)-subminor in the kernel is in the kernel
+    without a search: each restricted family gamma(t; i, j) depends on
+    (i, j) alone, and a sub-system of a vertex-disjoint system is still
+    vertex-disjoint (Lindstrom 1973, Gessel-Viennot 1985), so dropping one
+    index pair from a disjoint system for [I|J] would give one for the
+    subminor, whose family is empty.  The subminor's maximum coordinate is
+    at most the minor's, so the sweep met it one size earlier.  Emptiness of
+    a smaller diagonal subminor's family passes up through the
+    (k-1)-subminors the same way, so these k lookups decide every
+    inheritance, and the kernel minors that inherit nothing, the searched
+    ones, are exactly those with no proper diagonal subminor in the kernel.
+    They are searched by `disjoint_pick_exists` over the vertex sets of the
+    families in the threshold's family grid.
+    """
+    rows = family_grid(handle.graph, handle.t)[0]
+    kernel, searched = [], []
+    in_kernel = []  # per candidate, in sweep order
+    for spec, coords, subs in _minor_candidates(handle.rs, handle.shape.n):
+        if any(in_kernel[x] for x in subs):
+            hit = True
+        else:
+            hit = not disjoint_pick_exists(
+                [rows[i - 1][j - 1].vertex_sets for i, j in coords]
+            )
+            if hit:
+                searched.append(spec)
+        in_kernel.append(hit)
+        if hit:
+            kernel.append(spec)
+    return kernel, searched
+
+
 def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
     """Generating data of the kernel at (B, t).
 
@@ -145,40 +185,12 @@ def hprime_minors(handle: HPrimeHandle) -> tuple[list, list]:
     most the threshold coordinate and empty path-system family, and the
     coordinates (i,j) in B beyond the threshold coordinate whose bare
     generators join them.  Both lists are sorted, the minors by (k, I, J).
-
     Such a minor lies in the kernel exactly when its family of
-    vertex-disjoint path systems is empty (`minor_in_kernel`).  One sweep
-    visits the minors in (k, I, J) order (`_minor_candidates`).  A k-minor
-    with a diagonal (k-1)-subminor in the kernel is in the kernel without a
-    search: each restricted family gamma(t; i, j) depends on (i, j) alone,
-    and a sub-system of a vertex-disjoint system is still vertex-disjoint
-    (Lindstrom 1973, Gessel-Viennot 1985), so dropping one index pair from
-    a disjoint system for [I|J] would give one for the subminor, whose
-    family is empty.  The subminor's maximum coordinate is at most the
-    minor's, so the sweep met it one size earlier.  Emptiness of a smaller
-    diagonal subminor's family passes up through the (k-1)-subminors the
-    same way, so these k lookups decide every inheritance.  The remaining
-    minors are searched by `disjoint_pick_exists` over the vertex sets of
-    the (i, j) families, each read once per call.
+    vertex-disjoint path systems is empty (`minor_in_kernel`); the minors
+    come from one sweep (`_kernel_sweep`).
     """
-    graph, t = handle.graph, handle.t
-    rs = handle.rs
-    n = handle.shape.n
-    # every diagonal coordinate of a minor with maximum coordinate <= rs is <= rs
-    vsets = {
-        (i, j): enumerate_gamma(graph, t, i, j).vertex_sets
-        for i in range(1, rs[0] + 1) for j in range(1, n + 1) if (i, j) <= rs
-    }
-    minors = []
-    in_kernel = []  # per candidate, in sweep order
-    for spec, coords, subs in _minor_candidates(rs, n):
-        hit = any(in_kernel[x] for x in subs) or not disjoint_pick_exists(
-            [vsets[c] for c in coords]
-        )
-        in_kernel.append(hit)
-        if hit:
-            minors.append(spec)
-    bare = sorted(c for c in handle.diagram.black if c > rs)
+    minors, _searched = _kernel_sweep(handle)
+    bare = sorted(c for c in handle.diagram.black if c > handle.rs)
     return minors, bare
 
 
@@ -211,20 +223,14 @@ def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
 
 
 def minimal_groebner(handle: HPrimeHandle) -> list:
-    """Minors in the kernel with no proper diagonal subminor in the kernel.
+    """Minors in the kernel with no proper diagonal subminor in the kernel,
+    in (k, I, J) order: the ones the kernel sweep searches (`_kernel_sweep`).
 
     Defined at the top threshold t = mn only.
     """
     if handle.t != handle.shape.mn:
         raise ValueError("the minimal basis is defined at the top threshold only")
-    minors, _bare = hprime_minors(handle)
-    in_kernel = set(minors)
-    out = [
-        spec
-        for spec in minors
-        if not any(sub in in_kernel for sub in spec.diagonal_subminors())
-    ]
-    return out
+    return _kernel_sweep(handle)[1]
 
 
 def minimal_groebner_basis(handle: HPrimeHandle) -> GroebnerBasis:

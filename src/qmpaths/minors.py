@@ -5,10 +5,12 @@ each generator x_{i,j} to its path sum in the quantum torus; its kernel is
 the torus-invariant prime attached to B at level t.  Each path sum is a
 sum of monomials q^c t^N with integer multiplicities, so evaluation works on
 (N, c) keys with integer coefficients and builds one torus element at the
-end.  Minors whose maximum coordinate is at most the threshold coordinate
-evaluate by the q-analogue of the Lindstrom/Gessel-Viennot rule: a sum of
-weights over vertex-disjoint path systems, which vanishes exactly when the
-family is empty.
+end.  The path sums, and the inverses of the monomial ones, are read off the
+graph's family grid at the threshold (`cauchon.family_grid`).  Minors whose
+maximum coordinate is at most the threshold coordinate evaluate by the
+q-analogue of the Lindstrom/Gessel-Viennot rule: a sum of weights over
+vertex-disjoint path systems, which vanishes exactly when the family is
+empty.
 
 The deleting/adding derivation maps connect the algebras at neighbouring
 thresholds after inverting the threshold generator:
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .coeff import ONE, q_power
 from .torus import (
@@ -31,13 +33,7 @@ from .torus import (
     monomial_mul,
 )
 from .straighten import QmPoly, Threshold, _fold, _unit_letters
-from .cauchon import (
-    Diagram,
-    build_graph,
-    enumerate_gamma,
-    enumerate_vdps,
-    vdps_exists,
-)
+from .cauchon import Diagram, build_graph, enumerate_vdps, family_grid, vdps_exists
 
 
 @dataclass(frozen=True)
@@ -78,15 +74,6 @@ class MinorSpec:
         if not (shape.contains(low) and shape.contains(high)):
             raise ValueError(f"minor {self} does not fit a {shape.m}x{shape.n} grid")
         return self
-
-    def diagonal_subminors(self):
-        """Minors on proper subsets of the diagonal coordinate pairs."""
-        for size in range(1, self.k):
-            for pick in combinations(range(self.k), size):
-                yield MinorSpec(
-                    tuple(self.I[p] for p in pick),
-                    tuple(self.J[p] for p in pick),
-                )
 
     def __str__(self):
         return "[{}|{}]".format(
@@ -205,40 +192,21 @@ def _monomial_product(left: dict, right: dict) -> dict:
 _TRIE_MIN_TERMS = 4
 
 
-def _word(key) -> tuple:
-    """The letters of a monomial key as a word in lexicographic order: each
-    (i, j, e) repeated |e| times as (i, j, +-1)."""
-    return tuple(
-        letter
-        for i, j, e in key
-        for letter in ((i, j, 1 if e > 0 else -1),) * abs(e)
-    )
-
-
 def _image_lookup(handle: HPrimeHandle):
     """image(i, j, e): the path sum of x_{i,j} (e = 1) or its inverse
-    (e = -1) at the handle's threshold, as {(N, c): n}.  The images are
-    kept on the graph per threshold coordinate, so each (i, j, +-1) is
-    looked up once per graph and threshold, across calls and handles."""
-    graph, t = handle.graph, handle.t
-    images = graph._images.get(handle.rs)  # (i, j, +-1) -> image
-    if images is None:
-        images = graph._images[handle.rs] = {}
+    (e = -1) at the handle's threshold, as {(N, c): n}: the `weights` or
+    `inverse_weights` of gamma(t; i, j) in the graph's family grid, shared
+    by every call and handle at that threshold and never mutated."""
+    rows = family_grid(handle.graph, handle.t)[0]
+    black = handle.diagram.black
 
     def image(i, j, e):
-        out = images.get((i, j, e))
-        if out is not None:
-            return out
-        if e < 0 and handle.diagram.is_black((i, j)):
-            raise ValueError("cannot invert the image of a black coordinate")
-        fam = enumerate_gamma(graph, t, i, j)  # cached on the graph: never mutated
+        fam = rows[i - 1][j - 1]
         if e > 0:
-            out = fam.weights
-        else:
-            inverse = fam.generator.inverse()._terms  # a monomial: white at loc
-            out = {(k, p): n for k, c in inverse.items() for p, n in c.items()}
-        images[i, j, e] = out
-        return out
+            return fam.weights
+        if (i, j) in black:
+            raise ValueError("cannot invert the image of a black coordinate")
+        return fam.inverse_weights  # a monomial: white at loc
 
     return image
 
@@ -290,7 +258,7 @@ def _horner(items: list, depth: int, image) -> dict:
 def _sigma_trie(terms: dict, image) -> dict:
     """sigma of {key: {q-exponent: n}}, as {(N, c): n}, over the trie of the
     words, right to left (`_horner`)."""
-    return _horner([(_word(key), c) for key, c in terms.items()], 0, image)
+    return _horner([(_unit_letters(key), c) for key, c in terms.items()], 0, image)
 
 
 def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
@@ -309,8 +277,8 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
         images multiplied left to right.
     Localized input is accepted when the localized coordinate is white, so
     that its image is an invertible monomial; the inverse of x_{i,j} is a
-    letter of its own.  Images are looked up once per graph and threshold
-    (`_image_lookup`).
+    letter of its own.  Images are read off the graph's family grid at the
+    threshold (`_image_lookup`).
     """
     if a.shape is not handle.shape and a.shape != handle.shape:
         raise ValueError("shape mismatch")

@@ -265,9 +265,12 @@ def _insert_letter(rs: Coord, key: MonoKey, y, parts: dict, out: dict) -> None:
         del out[key]
 
 
-def _unit_letters(key: MonoKey) -> list:
-    """The letters (i, j, +-1) of x^key, in lexicographic order."""
-    return [(i, j, 1 if e > 0 else -1) for i, j, e in key for _ in range(abs(e))]
+def _unit_letters(key: MonoKey) -> tuple:
+    """The letters (i, j, +-1) of x^key, in lexicographic order: each
+    (i, j, e) repeated |e| times."""
+    return tuple(
+        [(i, j, 1 if e > 0 else -1) for i, j, e in key for _ in range(abs(e))]
+    )
 
 
 def _fold(rs: Coord, terms: dict, letters) -> dict:

@@ -34,7 +34,8 @@ the powers of q - q^{-1} once per result key; the polynomial product,
 
 The Groebner-layer oracles are the slower library routes that the fast ones
 replaced: the kernel minors by one path-system search per minor
-(`minor_in_kernel`), reduction and trace replay on QmPoly arithmetic,
+(`minor_in_kernel`), the minimal basis by a filter over every diagonal
+subminor of each kernel minor, reduction and trace replay on QmPoly arithmetic,
 one `QmPoly.__mul__` per step, the random samples built by QmPoly sums term
 by term, and the randomized check that evaluates every non-kernel sample's
 difference from its remainder.  A key sum's oracle canonicalizes the
@@ -850,6 +851,28 @@ def oracle_hprime_minors(handle):
     bare = sorted(c for c in handle.diagram.black if c > rs)
     minors.sort(key=lambda s: (s.k, s.I, s.J))
     return minors, bare
+
+
+def oracle_diagonal_subminors(spec):
+    """Minors on proper subsets of the diagonal coordinate pairs."""
+    for size in range(1, spec.k):
+        for pick in combinations(range(spec.k), size):
+            yield MinorSpec(
+                tuple(spec.I[p] for p in pick),
+                tuple(spec.J[p] for p in pick),
+            )
+
+
+def oracle_minimal_groebner(handle):
+    """The kernel minors of `oracle_hprime_minors` with no proper diagonal
+    subminor among them, by a filter over every subset of the diagonal."""
+    minors, _bare = oracle_hprime_minors(handle)
+    in_kernel = set(minors)
+    return [
+        spec
+        for spec in minors
+        if not any(sub in in_kernel for sub in oracle_diagonal_subminors(spec))
+    ]
 
 
 def oracle_reduce(a, basis):

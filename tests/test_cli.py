@@ -245,6 +245,7 @@ def test_usage_error_exit_code(capsys):
         ["verify", "relations", "--max", "1", "1"],
         ["verify", "all", "--max", "1", "3"],
         ["hprime", "2", "2", "--diagram-file", "/nonexistent/diagram.txt"],
+        ["hprime", "2", "2", "--diagram", "../..", "--diagram-file", "/dev/null"],
         ["verify", "relations", "--diagram", "#./.."],
         ["verify", "lindstrom", "-t", "2"],
         ["verify", "ddalg", "--diagram", "#./..", "-t", "2"],
@@ -260,6 +261,7 @@ def test_usage_error_exit_code(capsys):
     ],
     ids=["bad-diagram-char", "t-too-large", "t-zero", "negative-samples",
          "negative-samples-ddalg", "max-1-1", "max-1-3", "missing-diagram-file",
+         "diagram-and-diagram-file",
          "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
          "groebner-t-without-diagram", "minor-index-0", "minor-index-negative",
          "graph-unwritable-output", "relations-seed", "lindstrom-samples",
@@ -271,6 +273,19 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_diagram_and_diagram_file_together_are_refused(capsys, tmp_path):
+    # even when both name a valid diagram, neither one is silently dropped
+    path = tmp_path / "d.txt"
+    path.write_text("#./..\n")
+    code, out, _ = run_cli(capsys, "hprime", "2", "2", "--diagram-file", str(path))
+    assert code == 0 and out
+    code, out, err = run_cli(
+        capsys, "hprime", "2", "2", "--diagram", "../..", "--diagram-file", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: give --diagram or --diagram-file, not both\n"
 
 
 def test_module_entry_point():

@@ -4,7 +4,9 @@ import pytest
 
 from oracles import (
     oracle_apply_trace,
+    oracle_diagonal_subminors,
     oracle_hprime_minors,
+    oracle_minimal_groebner,
     oracle_reduce,
     random_coeff,
 )
@@ -90,6 +92,18 @@ def test_hprime_minors_sweep_matches_per_minor_search(m, n):
             assert hprime_minors(ht) == oracle_hprime_minors(ht), (d.to_inline(), t)
 
 
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 3)]
+)
+def test_minimal_groebner_equals_subset_filter_oracle(m, n):
+    # the searched minors of the kernel sweep are the kernel minors with no
+    # proper diagonal subminor in the kernel
+    shape = Shape(m, n)
+    for d in enumerate_cauchon_diagrams(shape):
+        h = HPrimeHandle(d, shape.mn)
+        assert minimal_groebner(h) == oracle_minimal_groebner(h), d.to_inline()
+
+
 def test_minimal_groebner_staircase(staircase_handle):
     assert [str(s) for s in minimal_groebner(staircase_handle)] == [
         "[1,2|1,2]",
@@ -121,7 +135,7 @@ def test_minimality_every_subminor_has_a_system(staircase_handle):
     from qmpaths.cauchon import vdps_exists
 
     for spec in minimal_groebner(staircase_handle):
-        for sub in spec.diagonal_subminors():
+        for sub in oracle_diagonal_subminors(spec):
             assert vdps_exists(
                 staircase_handle.graph, staircase_handle.t, sub.I, sub.J
             )
@@ -412,8 +426,8 @@ def test_dd_image_kernel_elements_reduce(shape23):
 def test_checks_leave_shared_parts_and_tables_intact():
     # a check shares what it reads: memoized minors and basis elements, the
     # parts of a product with the empty cofactor, the candidate lists of
-    # `hprime_minors` and sigma's images; after 30 seeded checks each one
-    # still equals a fresh build
+    # `hprime_minors` and the families' weights and inverse weights that
+    # sigma reads; after 30 seeded checks each one still equals a fresh build
     from qmpaths.cauchon import build_graph, enumerate_gamma
     from qmpaths.minors import _minor_poly, minor_poly
 
@@ -436,17 +450,20 @@ def test_checks_leave_shared_parts_and_tables_intact():
                 assert e.lt_key == fresh.leading_term()[0]
             assert hprime_minors(handle) == oracle_hprime_minors(handle)
         g = build_graph(d)
-        assert h.graph._images
-        for rs, images in h.graph._images.items():
-            for (i, j, e), image in images.items():
-                fam = enumerate_gamma(g, sh.coord_position(rs), i, j)
-                if e > 0:
-                    assert image == fam.weights
-                else:
-                    inverse = fam.generator.inverse()._terms
-                    assert image == {
-                        (k, p): n for k, c in inverse.items() for p, n in c.items()
-                    }
+        fams = h.graph._family_cache
+        assert fams
+        for (i, j, bound), fam in fams.items():
+            # no reflected-L turn sits at (1, 1), so t = 1 selects the families
+            # of bound None and (0, 0)
+            t = 1 if bound in (None, (0, 0)) else sh.coord_position(bound)
+            fresh = enumerate_gamma(g, t, i, j)
+            assert fresh.key == fam.key
+            assert fam.weights == fresh.weights
+            if "inverse_weights" in vars(fam):
+                inverse = fresh.generator.inverse()._terms
+                assert fam.inverse_weights == {
+                    (k, p): n for k, c in inverse.items() for p, n in c.items()
+                }
 
 
 def test_equal_but_distinct_shape_is_accepted(grid_4x4_diagram):

@@ -6,13 +6,8 @@ import pytest
 from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import Shape, TorusElement, mono_key, t_gen, torus_product
 from qmpaths.straighten import QmPoly, Threshold
-from qmpaths.cauchon import (
-    Diagram,
-    enumerate_cauchon_diagrams,
-    enumerate_gamma,
-    generator,
-)
-from qmpaths import minors as minors_module
+from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams, generator
+from qmpaths import cauchon
 from qmpaths.minors import (
     HPrimeHandle,
     MinorSpec,
@@ -30,6 +25,7 @@ from qmpaths.minors import (
 
 from oracles import (
     oracle_derivation,
+    oracle_diagonal_subminors,
     oracle_inversions,
     oracle_lindstrom_eval,
     oracle_minor_poly,
@@ -78,7 +74,7 @@ def test_check_in_shape_rejects_indices_outside_the_grid(shape22):
 
 def test_diagonal_subminors():
     s = MinorSpec.of([1, 2, 3], [1, 2, 4])
-    subs = {str(x) for x in s.diagonal_subminors()}
+    subs = {str(x) for x in oracle_diagonal_subminors(s)}
     assert subs == {
         "[1|1]", "[2|2]", "[3|4]",
         "[1,2|1,2]", "[1,3|1,4]", "[2,3|2,4]",
@@ -503,17 +499,24 @@ def test_lindstrom_eval_equals_system_weight_sum(m, n):
 
 
 def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
-    # the images are kept per graph and threshold: across calls, and across
-    # handles sharing the graph, each (i, j, sign) is looked up at most once
+    # sigma reads the graph's family grid: across calls, and across handles
+    # sharing the graph, each (i, j) is looked up once per threshold, and
+    # each family's inverse weights are built once
     sh = Shape(3, 3)
     h = HPrimeHandle(Diagram.all_white(sh), sh.mn)
-    seen = []
+    seen, inverted = [], []
+    select, invert = cauchon.enumerate_gamma, TorusElement.inverse
 
     def counting(g, t, i, j):
         seen.append((i, j))
-        return enumerate_gamma(g, t, i, j)
+        return select(g, t, i, j)
 
-    monkeypatch.setattr(minors_module, "enumerate_gamma", counting)
+    def counting_inverse(a):
+        inverted.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(cauchon, "enumerate_gamma", counting)
+    monkeypatch.setattr(TorusElement, "inverse", counting_inverse)
 
     def elements(t):
         a = QmPoly(sh, t, {
@@ -525,27 +528,37 @@ def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
         return a, b
 
     def looked_up(handle, poly):
+        # (families looked up, inverses built) by sigma; the oracle reads
+        # the families on its own
         seen.clear()
-        assert sigma(handle, poly) == oracle_sigma(handle, poly)
-        return sorted(seen)
+        inverted.clear()
+        value = sigma(handle, poly)
+        counts = sorted(seen), len(inverted)
+        assert value == oracle_sigma(handle, poly)
+        return counts
 
+    grid = sorted(sh.coords())
     a, b = elements(sh.mn)
-    assert looked_up(h, a) == [(1, 1), (2, 2), (3, 3)]
-    # only the inverse of x_{3,3} is new: a separate entry
-    assert looked_up(h, a + b) == [(3, 3)]
-    assert looked_up(h, a + b) == []
-    assert looked_up(h.at(sh.mn), a + b) == []
-    # another threshold on the same graph has images of its own
+    assert looked_up(h, a) == (grid, 0)
+    # only the inverse of x_{3,3} is new
+    assert looked_up(h, a + b) == ([], 1)
+    assert looked_up(h, a + b) == ([], 0)
+    assert looked_up(h.at(sh.mn), a + b) == ([], 0)
+    # another threshold on the same graph has a grid of its own; gamma(5;
+    # 3, 3) is the family of the top threshold, so its inverse is kept
     low = h.at(5)
     a5, b5 = elements(5)
-    assert looked_up(low, a5 + b5) == [(1, 1), (2, 2), (3, 3), (3, 3)]
-    assert looked_up(h.at(5), a5) == []
-    assert looked_up(h, a) == []
+    assert looked_up(low, a5 + b5) == (grid, 0)
+    assert looked_up(h.at(5), a5) == ([], 0)
+    assert looked_up(h, a) == ([], 0)
     # a black coordinate's inverse is refused on every call, never kept
     black = HPrimeHandle(Diagram.of(sh, [(3, 1), (3, 2), (3, 3)]), sh.mn)
     for _ in range(2):
         with pytest.raises(ValueError, match="cannot invert"):
             sigma(black, b)
+    assert not any(
+        "inverse_weights" in vars(fam) for fam in black.graph._family_cache.values()
+    )
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])

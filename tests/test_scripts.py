@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run from the repository root."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -25,6 +26,16 @@ def test_hprime_census_runs():
     proc = run_script("scripts/hprime_census.py", "2", "3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+#: sha256 of the census stdout up to 3x3 (2x2, 2x3, 3x2, 3x3)
+CENSUS_3X3_SHA256 = "b99df328f3c6fe62f1c7b743c7e5858a66de7e4cdc872fea54fae04eb39cfded"
+
+
+def test_hprime_census_3x3_matches_digest():
+    proc = run_script("scripts/hprime_census.py", "3", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == CENSUS_3X3_SHA256
 
 
 def _stress_runs():

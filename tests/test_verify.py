@@ -122,7 +122,6 @@ def _select_as_at(monkeypatch, target, t, coords, source, every_diagram):
         return select(g, tt, i, j)
 
     monkeypatch.setattr(cauchon, "enumerate_gamma", faulty)
-    monkeypatch.setattr(minors, "enumerate_gamma", faulty)
 
 
 ALL_WHITE_3X3 = Diagram.from_text(".../.../...")
