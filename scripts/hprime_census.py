@@ -18,7 +18,7 @@ sys.path.insert(0, "src")
 from qmpaths.torus import Shape
 from qmpaths.cauchon import enumerate_cauchon_diagrams
 from qmpaths.minors import HPrimeHandle
-from qmpaths.groebner import hprime_minors, minimal_groebner
+from qmpaths.groebner import _kernel_sweep
 
 
 def census(m, n):
@@ -28,10 +28,10 @@ def census(m, n):
     largest = None
     for d in enumerate_cauchon_diagrams(shape):
         h = HPrimeHandle(d, shape.mn)
-        minors, _bare = hprime_minors(h)
-        minimal = minimal_groebner(h)
+        # the kernel minors and, of those, the minimal ones: one sweep
+        kernel, minimal = _kernel_sweep(h)
         sizes[len(minimal)] += 1
-        full_sizes[len(minors)] += 1
+        full_sizes[len(kernel)] += 1
         if largest is None or len(minimal) > largest[0]:
             largest = (len(minimal), d, minimal)
     return sizes, full_sizes, largest

@@ -370,14 +370,14 @@ def path_weight_by_edges(g: CauchonGraph, path) -> TorusElement:
 
 class _Family(tuple):
     """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
-    `vertex_sets`, their weight sum as `weights`, {(key, q-exponent):
-    number of paths}, their path records (see `_row_column_paths`) as
-    `records`, and as `key` the (i, j, bound) it is stored under on its
-    graph.  Built from those on first read: each path's weight monomial,
-    `monomials`, {path: (q-exponent, key)}, which only path systems read,
-    the weight sum as a TorusElement, `generator`, and the weights of its
-    inverse, `inverse_weights`, in the form of `weights`; only a monomial
-    generator (a white (i, j)) has one."""
+    `vertex_sets`, their weight sum as `weights`, the parts {key:
+    {q-exponent: number of paths}} of a torus sum, their path records (see
+    `_row_column_paths`) as `records`, and as `key` the (i, j, bound) it is
+    stored under on its graph.  Built from those on first read: each path's
+    weight monomial, `monomials`, {path: (q-exponent, key)}, which only path
+    systems read, the weight sum as a TorusElement holding `weights`,
+    `generator`, and the parts of its inverse, `inverse_weights`; only a
+    monomial generator (a white (i, j)) has one."""
 
     @cached_property
     def monomials(self) -> dict:
@@ -385,12 +385,11 @@ class _Family(tuple):
 
     @cached_property
     def generator(self) -> TorusElement:
-        return TorusElement._from_counts(self.shape, self.weights)
+        return TorusElement._raw(self.shape, self.weights)
 
     @cached_property
     def inverse_weights(self) -> dict:
-        inverse = self.generator.inverse()._terms
-        return {(k, p): n for k, c in inverse.items() for p, n in c.items()}
+        return self.generator.inverse()._terms
 
 
 def _row_paths(g: CauchonGraph, i: int) -> tuple:
@@ -468,7 +467,8 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
             # every path weight is +q^c t^N, so no sum of them cancels to zero
             weights: dict = {}
             for _path, _vset, qexp, mono, _bound in members:
-                weights[mono, qexp] = weights.get((mono, qexp), 0) + 1
+                parts = weights.setdefault(mono, {})
+                parts[qexp] = parts.get(qexp, 0) + 1
             fam = g._family_cache[(i, j, bound)] = _Family(r[0] for r in members)
             fam.shape = g.shape
             fam.key = (i, j, bound)
@@ -520,21 +520,22 @@ def generator_matrix(g: CauchonGraph, t: int) -> tuple:
 
 class _Systems(tuple):
     """The vertex-disjoint systems picked from the families `families`,
-    one path per family.  Their weight sum, `weights`, {(key, q-exponent):
-    number of systems}, is built on first read from the member paths'
-    `monomials`."""
+    one path per family.  Their weight sum, `weights`, the parts {key:
+    {q-exponent: number of systems}} of a torus sum, is built on first read
+    from the member paths' `monomials`."""
 
     @cached_property
     def weights(self) -> dict:
-        counts: dict = {}
+        weights: dict = {}
         for system in self:
             qexp, mono = 0, EMPTY_KEY
             for fam, path in zip(self.families, system):
                 c, key = fam.monomials[path]
                 e, mono = monomial_mul(mono, key)
                 qexp += c + e
-            counts[mono, qexp] = counts.get((mono, qexp), 0) + 1
-        return counts
+            parts = weights.setdefault(mono, {})
+            parts[qexp] = parts.get(qexp, 0) + 1
+        return weights
 
 
 def enumerate_vdps(g: CauchonGraph, t: int, I, J):

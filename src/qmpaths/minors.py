@@ -4,8 +4,8 @@ A diagram B and threshold t determine the evaluation homomorphism sending
 each generator x_{i,j} to its path sum in the quantum torus; its kernel is
 the torus-invariant prime attached to B at level t.  Each path sum is a
 sum of monomials q^c t^N with integer multiplicities, so evaluation works on
-(N, c) keys with integer coefficients and builds one torus element at the
-end.  The path sums, and the inverses of the monomial ones, are read off the
+the integer parts {N: {c: n}} a TorusElement stores (`torus.parts_mul`).
+The path sums, and the inverses of the monomial ones, are read off the
 graph's family grid at the threshold (`cauchon.family_grid`).  Minors whose
 maximum coordinate is at most the threshold coordinate evaluate by the
 q-analogue of the Lindstrom/Gessel-Viennot rule: a sum of weights over
@@ -30,7 +30,7 @@ from itertools import permutations
 from .coeff import ONE, q_power
 from .torus import (
     EMPTY_KEY, Coord, Shape, TorusElement, add_parts, key_entry, mono_key,
-    monomial_mul,
+    parts_mul,
 )
 from .straighten import QmPoly, Threshold, _fold, _unit_letters
 from .cauchon import Diagram, build_graph, enumerate_vdps, family_grid, vdps_exists
@@ -174,16 +174,6 @@ class HPrimeHandle:
         return f"HPrimeHandle({self.diagram.to_inline()!r}, t={self.t})"
 
 
-def _monomial_product(left: dict, right: dict) -> dict:
-    """Product of two sums of n q^c t^N, each given as {(N, c): n}."""
-    out: dict = {}
-    for (k1, q1), n1 in left.items():
-        for (k2, q2), n2 in right.items():
-            c, k = monomial_mul(k1, k2)
-            out[k, q1 + q2 + c] = out.get((k, q1 + q2 + c), 0) + n1 * n2
-    return out
-
-
 # From this many terms on, `sigma` evaluates over the trie of the words.  Of
 # the sigma calls of a groebner-check run (4x4, seed 0), 582 of the 583 with
 # four or more terms have two terms that begin with the same letter, and
@@ -194,7 +184,7 @@ _TRIE_MIN_TERMS = 4
 
 def _image_lookup(handle: HPrimeHandle):
     """image(i, j, e): the path sum of x_{i,j} (e = 1) or its inverse
-    (e = -1) at the handle's threshold, as {(N, c): n}: the `weights` or
+    (e = -1) at the handle's threshold, as parts {N: {c: n}}: the `weights` or
     `inverse_weights` of gamma(t; i, j) in the graph's family grid, shared
     by every call and handle at that threshold and never mutated."""
     rows = family_grid(handle.graph, handle.t)[0]
@@ -212,19 +202,18 @@ def _image_lookup(handle: HPrimeHandle):
 
 
 def _sigma_left_to_right(terms: dict, image) -> dict:
-    """sigma of {word: {q-exponent: n}}, as {(N, c): n}, term by term: the
-    images of each word's letters (i, j, e), each taken |e| times, are
-    multiplied left to right.  A monomial key is such a word."""
+    """sigma of {word: {q-exponent: n}}, as parts {N: {c: n}}, term by
+    term: the images of each word's letters (i, j, e), each taken |e|
+    times, are multiplied left to right.  A monomial key is such a word."""
     acc: dict = {}
     for word, coeff in terms.items():
         prod = None
         for i, j, e in word:
             factor = image(i, j, 1 if e > 0 else -1)
             for _ in range(abs(e)):
-                prod = factor if prod is None else _monomial_product(prod, factor)
-        for (k, c), n in ({(EMPTY_KEY, 0): 1} if prod is None else prod).items():
-            for p, m in coeff.items():
-                acc[k, c + p] = acc.get((k, c + p), 0) + n * m
+                prod = factor if prod is None else parts_mul(prod, factor)
+        for k, parts in ({EMPTY_KEY: {0: 1}} if prod is None else prod).items():
+            add_parts(acc, k, parts.items(), coeff.items())
     return acc
 
 
@@ -233,7 +222,7 @@ def _horner(items: list, depth: int, image) -> dict:
     `items`, whose words share their first `depth` letters, without that
     prefix: the coefficients of the words that end here plus, for each next
     letter y, image(y) times the sum over y's subtree.  Each subtree is
-    summed, zero counts dropped, before its one product, so cancelling
+    summed, in canonical parts, before its one product, so cancelling
     subtrees are never multiplied.  A subtree of one word is that word's
     product, left to right, times its coefficient."""
     if len(items) == 1:
@@ -243,33 +232,32 @@ def _horner(items: list, depth: int, image) -> dict:
     children: dict = {}
     for word, coeff in items:
         if len(word) == depth:
-            for p, m in coeff.items():
-                acc[EMPTY_KEY, p] = acc.get((EMPTY_KEY, p), 0) + m
+            add_parts(acc, EMPTY_KEY, coeff.items(), ONE.terms)
         else:
             children.setdefault(word[depth], []).append((word, coeff))
     for y, sub in children.items():
         child = _horner(sub, depth + 1, image)
         if child:
-            for kc, n in _monomial_product(image(*y), child).items():
-                acc[kc] = acc.get(kc, 0) + n
-    return {kc: n for kc, n in acc.items() if n}
+            for k, parts in parts_mul(image(*y), child).items():
+                add_parts(acc, k, parts.items(), ONE.terms)
+    return acc
 
 
 def _sigma_trie(terms: dict, image) -> dict:
-    """sigma of {key: {q-exponent: n}}, as {(N, c): n}, over the trie of the
-    words, right to left (`_horner`)."""
+    """sigma of {key: {q-exponent: n}}, as parts {N: {c: n}}, over the trie
+    of the words, right to left (`_horner`)."""
     return _horner([(_unit_letters(key), c) for key, c in terms.items()], 0, image)
 
 
 def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
     """Evaluate a polynomial by substituting path sums for generators.
 
-    Work is done on the path sums' `weights`, {(N, c): n}, and one
-    TorusElement is built at the end.  The number of terms picks one of two
+    Work is done on the parts {N: {c: n}} of the path sums' `weights`, and
+    one TorusElement holds the result.  The number of terms picks one of two
     routes, which give the same element:
       - four or more terms: over the trie of the terms' words (the letters
         in lexicographic order), right to left.  Each letter's subtree is
-        summed, zero counts dropped, before it is multiplied by the
+        summed, in canonical parts, before it is multiplied by the
         letter's image, so a shared prefix is multiplied once and a
         cancelling subtree not at all.  The k! terms of a quantum minor,
         and their right multiples, share their prefixes;
@@ -286,8 +274,7 @@ def sigma(handle: HPrimeHandle, a: QmPoly) -> TorusElement:
         raise ValueError("threshold mismatch")
     terms = a._terms
     route = _sigma_trie if len(terms) >= _TRIE_MIN_TERMS else _sigma_left_to_right
-    counts = route(terms, _image_lookup(handle))
-    return TorusElement._from_counts(handle.shape, counts)
+    return TorusElement._raw(handle.shape, route(terms, _image_lookup(handle)))
 
 
 def kernel_member(handle: HPrimeHandle, a: QmPoly) -> bool:
@@ -312,7 +299,7 @@ def lindstrom_eval(handle: HPrimeHandle, spec: MinorSpec) -> TorusElement:
     _check_below_threshold(handle, spec)
     systems = enumerate_vdps(handle.graph, handle.t, spec.I, spec.J)
     # summed from each member path's (q-exponent, key) in its family
-    return TorusElement._from_counts(handle.shape, systems.weights)
+    return TorusElement._raw(handle.shape, systems.weights)
 
 
 def minor_in_kernel(handle: HPrimeHandle, spec: MinorSpec) -> bool:

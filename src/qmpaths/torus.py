@@ -211,14 +211,15 @@ def monomial_inverse(a: MonoKey) -> tuple[int, MonoKey]:
 # sparse term sums
 
 
-def add_parts(acc: dict, key, parts, scale) -> None:
-    """acc[key] += parts * scale, on the {q-exponent: n} parts of a term
-    sum; parts and scale are given as (q-exponent, n) pairs with no zero n.
-    Zero parts are dropped, and so is a key left with none."""
+def add_parts(acc: dict, key, parts, scale, shift: int = 0) -> None:
+    """acc[key] += parts * scale * q^shift, on the {q-exponent: n} parts of
+    a term sum; parts and scale are given as (q-exponent, n) pairs with no
+    zero n.  Zero parts are dropped, and so is a key left with none."""
     out = acc.get(key)
     if out is None:
         out = acc[key] = {}
     for p, m in parts:
+        p += shift
         for sp, sn in scale:
             v = out.get(p + sp, 0) + m * sn
             if v:
@@ -227,6 +228,17 @@ def add_parts(acc: dict, key, parts, scale) -> None:
                 del out[p + sp]
     if not out:
         del acc[key]
+
+
+def parts_mul(left: dict, right: dict) -> dict:
+    """The canonical parts of the product of two torus sums given by their
+    canonical parts {key: {q-exponent: n}}, sharing none of theirs."""
+    acc: dict = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            e, k = monomial_mul(k1, k2)
+            add_parts(acc, k, c1.items(), c2.items(), e)
+    return acc
 
 
 def to_scalar(parts: dict) -> LaurentScalar:
@@ -386,15 +398,6 @@ class TorusElement(TermSum):
         return self
 
     @classmethod
-    def _from_counts(cls, shape, counts: dict) -> "TorusElement":
-        """The sum of n q^c t^N over {(N, c): n}, zero n dropped."""
-        terms: dict = {}
-        for (key, qexp), n in counts.items():
-            if n:
-                terms.setdefault(key, {})[qexp] = n
-        return cls._raw(shape, terms)
-
-    @classmethod
     def zero(cls, shape: Shape) -> "TorusElement":
         return cls._raw(shape, {})
 
@@ -408,12 +411,7 @@ class TorusElement(TermSum):
 
     def __mul__(self, other):
         self._check_mate(other)
-        acc: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                e, k = monomial_mul(k1, k2)
-                add_parts(acc, k, c1.items(), [(p + e, n) for p, n in c2.items()])
-        return self._like(acc)
+        return self._like(parts_mul(self._terms, other._terms))
 
     def as_monomial(self):
         """(key, coeff) if this is a single term, else None."""

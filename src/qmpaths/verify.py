@@ -5,11 +5,11 @@ checks an exact algebraic identity; failures carry a printable witness.
 These back both the command-line `verify` subcommand and the acceptance
 tests.
 
-A sweep splits each shape's diagrams over one process per CPU in the
-affinity mask (`_sweep`), so `taskset -c 0 qmpaths verify ...` runs it in
-one process.  The reports are byte-identical either way: every result is
-replayed in enumeration order.  `Report.elapsed` is the wall time of the
-whole suite.
+A suite's sweep (`_sweep`) splits its items, one per diagram (and one per
+shape for ddalg's round trips), over one process per CPU in the affinity
+mask, so `taskset -c 0 qmpaths verify ...` runs it in one process.  The
+reports are byte-identical either way: every result is replayed in item
+order.  `Report.elapsed` is the wall time of the whole suite.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, count, islice
 
-from .coeff import q_power
-from .torus import Shape, TorusElement, mono_key
+from .coeff import LAM, q_power
+from .torus import Shape, TorusElement, add_parts, mono_key, parts_mul
 from .straighten import QmPoly
 from .cauchon import (
     Diagram,
@@ -36,7 +36,6 @@ from .cauchon import (
 from .minors import (
     HPrimeHandle,
     MinorSpec,
-    _monomial_product,
     dd_backward,
     dd_forward,
     minor_poly,
@@ -109,13 +108,13 @@ def _run(report: Report, body) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# sweeps: one diagram's result is (checks, [(checks so far, witness), ...]),
-# each failure with the number of the diagram's checks made up to and
+# sweeps: one item's result is (checks, [(checks so far, witness), ...]),
+# each failure with the number of the item's checks made up to and
 # including the one that failed
 
 
 def _replay(report: Report, results) -> None:
-    """Adds diagram results to the report in the order given, counting each
+    """Adds item results to the report in the order given, counting each
     failure's checks before reporting it, so that a truncated report holds
     the checks of a sweep that stopped at its last failure."""
     for checks, failures in results:
@@ -127,18 +126,18 @@ def _replay(report: Report, results) -> None:
         report.checks += checks - done
 
 
-def _share(shape: Shape, start: int, step: int, task, args) -> tuple:
-    """(results, exception): task(d, *args) for every step-th diagram of the
-    shape from the start-th, in order, and the exception that stopped the
-    share, or None.
+def _share(items, start: int, step: int) -> tuple:
+    """(results, exception): task(*args) for every step-th (task, *args)
+    item of the stream items() from the start-th, in order, and the
+    exception that stopped the share, or None.
 
     The share stops once its results hold more failures than a report keeps:
-    replaying them truncates the report at or before its last diagram.
+    replaying them truncates the report at or before its last item.
     """
     results, failed = [], 0
     try:
-        for d in islice(enumerate_cauchon_diagrams(shape), start, None, step):
-            result = task(d, *args)
+        for task, *args in islice(items(), start, None, step):
+            result = task(*args)
             results.append(result)
             failed += len(result[1])
             if failed > _MAX_FAILURES:
@@ -149,9 +148,9 @@ def _share(shape: Shape, start: int, step: int, task, args) -> tuple:
 
 
 def _in_order(shares):
-    """The diagram results of a sweep over w processes in enumeration order,
-    diagram k from share k mod w; raises a share's exception in the place
-    of the diagram that raised it."""
+    """The item results of a sweep over w processes in item order, item k
+    from share k mod w; raises a share's exception in the place of the item
+    that raised it."""
     w = len(shares)
     for k in count():
         results, exc = shares[k % w]
@@ -193,9 +192,9 @@ def _rebuilt(module: str, name: str, args: tuple, trace: str) -> BaseException:
     return exc
 
 
-def _fork_share(shape: Shape, start: int, step: int, task, args) -> tuple:
-    """Forks a worker that computes `_share(shape, start, step, ...)` and
-    writes it with marshal to a pipe; returns (pid, read end)."""
+def _fork_share(items, start: int, step: int) -> tuple:
+    """Forks a worker that computes `_share(items, start, step)` and writes
+    it with marshal to a pipe; returns (pid, read end)."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
@@ -204,7 +203,7 @@ def _fork_share(shape: Shape, start: int, step: int, task, args) -> tuple:
     status = 1
     try:
         os.close(read_end)
-        results, exc = _share(shape, start, step, task, args)
+        results, exc = _share(items, start, step)
         data = marshal.dumps((results, exc and _described(exc)))
         with open(write_end, "wb") as pipe:
             pipe.write(data)
@@ -239,28 +238,39 @@ def _end_workers(workers) -> None:
             pass
 
 
-def _sweep(report: Report, shape: Shape, task, *args) -> None:
-    """Replays into the report task(d, *args) for every Cauchon diagram d
-    of the shape, in enumeration order.
+def _per_diagram(task, shapes: list):
+    """The items (task, d, *args) for every Cauchon diagram d of each
+    (shape, *args) in `shapes`, as a stream for `_sweep`."""
+    return lambda: (
+        (task, d, *args)
+        for shape, *args in shapes
+        for d in enumerate_cauchon_diagrams(shape)
+    )
 
-    The diagrams are split over w processes, one per CPU in the affinity
-    mask and at most one per diagram: this process takes the diagrams
-    k = 0 mod w and forks w - 1 workers for the other residues.  Each
-    process enumerates the shape itself; a worker sends its results through
-    a pipe with marshal and exits.  Every worker is reaped before this
-    returns or raises.  Whatever the task reads beside its diagram (its
-    arguments, caches) is copied into each worker by the fork, so nothing
-    is pickled and a cache the task fills is filled per process; the
-    library starts no threads, so forking is safe.  With one CPU nothing is
+
+def _sweep(report: Report, items) -> None:
+    """Replays into the report task(*args) for every (task, *args) item
+    that the zero-argument callable `items` streams, in stream order.
+
+    The items are split over w processes, one per CPU in the affinity mask
+    and at most one per item: this process takes the items k = 0 mod w and
+    forks w - 1 workers for the other residues.  Each process streams the
+    items itself, so no list of them is built and every call of `items`
+    must stream the same items.  A worker sends its results through a pipe
+    with marshal and exits.  Every worker is reaped before this returns or
+    raises.  Whatever the tasks read (their arguments,
+    caches) is copied into each worker by the fork, so nothing is pickled
+    and a cache a task fills is filled per process; the library starts no
+    threads, so forking is safe.  With one CPU or one item nothing is
     forked.
     """
     cpus = len(os.sched_getaffinity(0))
-    w = len(list(islice(enumerate_cauchon_diagrams(shape), cpus)))
+    w = len(list(islice(items(), cpus))) or 1
     workers = []  # (pid, read end) of each worker not yet reaped
     try:
         for start in range(1, w):
-            workers.append(_fork_share(shape, start, w, task, args))
-        shares = [_share(shape, 0, w, task, args)]
+            workers.append(_fork_share(items, start, w))
+        shares = [_share(items, 0, w)]
         for start in range(1, w):
             pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
@@ -278,9 +288,9 @@ def _sweep(report: Report, shape: Shape, task, *args) -> None:
 # suite: generator relations
 
 
-def _q_shift(counts: dict, dq: int) -> dict:
-    """q^dq times a sum {(N, c): n} of n q^c t^N."""
-    return {(key, c + dq): n for (key, c), n in counts.items()}
+def _q_shift(parts: dict, dq: int) -> dict:
+    """q^dq times a torus sum given by its parts {N: {c: n}}."""
+    return {key: {c + dq: n for c, n in cs.items()} for key, cs in parts.items()}
 
 
 #: the relation names per 2x2 submatrix, in check order, when the threshold
@@ -305,13 +315,10 @@ def _ad_relation(mul, a, b, c, dd, commuting: bool) -> bool:
     """Whether ad = da holds (commuting) or ad = da + (q - q^{-1}) bc."""
     if commuting:
         return mul(a, dd) == mul(dd, a)
-    # da + (q - q^{-1}) bc, zero counts dropped; products of path sums
-    # have none
-    rhs = dict(mul(dd, a))
-    for (key, e), n in mul(b, c).items():
-        rhs[key, e + 1] = rhs.get((key, e + 1), 0) + n
-        rhs[key, e - 1] = rhs.get((key, e - 1), 0) - n
-    rhs = {x: n for x, n in rhs.items() if n}
+    # da + (q - q^{-1}) bc in canonical parts, on a copy of the shared da
+    rhs = {key: dict(cs) for key, cs in mul(dd, a).items()}
+    for key, cs in mul(b, c).items():
+        add_parts(rhs, key, cs.items(), LAM.terms)
     return mul(a, dd) == rhs
 
 
@@ -325,7 +332,7 @@ def _relations_of(d: Diagram, subs: list) -> tuple:
     def mul(u, v):
         p = products.get((u.key, v.key))
         if p is None:
-            p = products[u.key, v.key] = _monomial_product(u.weights, v.weights)
+            p = products[u.key, v.key] = parts_mul(u.weights, v.weights)
         return p
 
     checks, failures = 0, []
@@ -366,26 +373,27 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
     """Path-built generator matrices satisfy the defining relations of the
     threshold-t algebra, for every diagram and threshold in range.
 
-    The generators are compared as their families' integer path counts
-    {(N, c): n}.  The relations depend on the threshold only through the
-    family grid and, for ad, through whether the threshold coordinate lies
-    before the submatrix's corner d.  So each relation is decided once per
-    distinct grid of a diagram (`family_grid`'s key), the ad relation once
-    per branch a threshold asks for, and every threshold counts and reports
-    from that table.  Each ordered product of two families is formed once
-    per diagram.
+    The generators are compared as their families' path sums, integer
+    parts {N: {c: n}}.  The relations depend on the threshold only through
+    the family grid and, for ad, through whether the threshold coordinate
+    lies before the submatrix's corner d.  So each relation is decided once
+    per distinct grid of a diagram (`family_grid`'s key), the ad relation
+    once per branch a threshold asks for, and every threshold counts and
+    reports from that table.  Each ordered product of two families is
+    formed once per diagram.
     """
     report = Report("relations", {"max": [max_m, max_n]})
 
     def body(report):
+        shapes = []  # (shape, its 2x2 submatrices)
         for shape in _shapes(max_m, max_n):
             rows, cols = range(1, shape.m + 1), range(1, shape.n + 1)
-            subs = [
+            shapes.append((shape, [
                 (i, j, k, l)
                 for i, k in combinations(rows, 2)
                 for j, l in combinations(cols, 2)
-            ]
-            _sweep(report, shape, _relations_of, subs)
+            ]))
+        _sweep(report, _per_diagram(_relations_of, shapes))
 
     return _run(report, body)
 
@@ -403,7 +411,7 @@ def _lindstrom_holds(
     is kept in `distinct` per tuple of the systems' families."""
     via_sigma = sigma(h, poly)
     systems = enumerate_vdps(h.graph, h.t, spec.I, spec.J)
-    via_paths = TorusElement._from_counts(h.shape, systems.weights)
+    via_paths = TorusElement._raw(h.shape, systems.weights)
     families = tuple(f.key for f in systems.families)
     if families not in distinct:
         keys = [system_turn_key(h.graph, s) for s in systems]
@@ -452,6 +460,7 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     report = Report("lindstrom", {"max": [max_m, max_n]})
 
     def body(report):
+        shapes = []  # (shape, per threshold the minors it checks)
         for shape in _shapes(max_m, max_n):
             specs = [
                 MinorSpec(I, J)
@@ -459,16 +468,15 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                 for I in combinations(range(1, shape.m + 1), k)
                 for J in combinations(range(1, shape.n + 1), k)
             ]
-            # per threshold, the minors it checks with their polynomials
-            levels = [
+            shapes.append((shape, [
                 (t, [
                     (n, spec, minor_poly(shape, t, spec))
                     for n, spec in enumerate(specs)
                     if spec.max_coord <= shape.threshold_coord(t)
                 ])
                 for t in range(1, shape.mn + 1)
-            ]
-            _sweep(report, shape, _lindstrom_of, levels)
+            ]))
+        _sweep(report, _per_diagram(_lindstrom_of, shapes))
 
     return _run(report, body)
 
@@ -486,6 +494,27 @@ def _random_qmpoly(shape: Shape, t: int, rng) -> QmPoly:
         )
         terms[key] = q_power(rng.randint(-2, 2)) * rng.choice((1, -1, 2))
     return QmPoly(shape, t, terms)
+
+
+def _roundtrips_of(shape: Shape, samples: int, seed: int) -> tuple:
+    """dd_backward(dd_forward(a)) = a and dd_forward(dd_backward(b)) = b,
+    localized, for `samples` random pairs from the shape's own generator;
+    stops, like a report, past the failures one keeps."""
+    rng = random.Random(seed * 10000 + shape.m * 100 + shape.n)
+    checks, failures = 0, []
+    while checks < 2 * samples and len(failures) <= _MAX_FAILURES:
+        t = rng.randint(2, shape.mn)
+        rs = shape.threshold_coord(t)
+        a = _random_qmpoly(shape, t - 1, rng)
+        b = _random_qmpoly(shape, t, rng)
+        for kind, x, back in (
+            ("roundtrip-fwd-bwd", a, dd_backward(dd_forward(a))),
+            ("roundtrip-bwd-fwd", b, dd_forward(dd_backward(b))),
+        ):
+            checks += 1
+            if back != x.with_loc(rs):
+                failures.append((checks, {"kind": kind, "t": t, "element": repr(x)}))
+    return checks, failures
 
 
 def _ddalg_of(d: Diagram, images: dict) -> tuple:
@@ -507,37 +536,30 @@ def _ddalg_of(d: Diagram, images: dict) -> tuple:
         for (i, j) in shape.coords():
             x = hi[i - 1][j - 1].generator
             y = lo[i - 1][j - 1].generator
-            checks += 1
+            held = {}  # kind -> whether the check held, in check order
             if in_b or i >= r or j >= s:
-                if x != y:
-                    failures.append((checks, {
-                        "kind": "generator-stability",
-                        "diagram": d.to_inline(), "t": t, "coord": [i, j],
-                    }))
+                held["generator-stability"] = x == y
             else:
                 corr = (
                     lo[i - 1][s - 1].generator
                     * y_rs_inv
                     * lo[r - 1][j - 1].generator
                 )
-                if x != y + corr:
-                    failures.append((checks, {
-                        "kind": "generator-derivation-identity",
-                        "diagram": d.to_inline(), "t": t, "coord": [i, j],
-                    }))
+                held["generator-derivation-identity"] = x == y + corr
             if not in_b:
                 # sigma at level t of the forward image matches sigma at
                 # level t-1
-                checks += 1
                 pair = images.get((t, (i, j)))
                 if pair is None:
                     ygen = QmPoly.generator(shape, t - 1, (i, j))
                     pair = images[t, (i, j)] = (ygen, dd_forward(ygen))
                 ygen, image = pair
-                if sigma(h_hi, image) != sigma(h_lo, ygen):
+                held["sigma-derivation-compat"] = sigma(h_hi, image) == sigma(h_lo, ygen)
+            for kind, ok in held.items():
+                checks += 1
+                if not ok:
                     failures.append((checks, {
-                        "kind": "sigma-derivation-compat",
-                        "diagram": d.to_inline(), "t": t, "coord": [i, j],
+                        "kind": kind, "diagram": d.to_inline(), "t": t, "coord": [i, j],
                     }))
     return checks, failures
 
@@ -547,10 +569,11 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     path model satisfies the generator identity
     x_{i,j} = y_{i,j} + y_{i,s} y_{r,s}^{-1} y_{r,j} (northwest case).
 
-    The round trips draw from one generator per shape, so they run before
-    the sweep.  The level t-1 generators and their forward images do not
-    depend on the diagram, so each is built once per (shape, t, coordinate)
-    in each sweep process; their evaluations are compared per diagram.
+    The round trips of a shape draw from one generator, so they are one
+    item of the sweep, ahead of the shape's diagrams.  The level t-1
+    generators and their forward images do not depend on the diagram, so
+    each is built once per (shape, t, coordinate) in each sweep process;
+    their evaluations are compared per diagram.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -558,23 +581,14 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
         "ddalg", {"max": [max_m, max_n], "samples": samples, "seed": seed}
     )
 
-    def body(report):
+    def items():
         for shape in _shapes(max_m, max_n):
-            rng = random.Random(seed * 10000 + shape.m * 100 + shape.n)
-            for _ in range(samples):
-                t = rng.randint(2, shape.mn)
-                rs = shape.threshold_coord(t)
-                a = _random_qmpoly(shape, t - 1, rng)
-                report.checks += 1
-                if dd_backward(dd_forward(a)) != a.with_loc(rs):
-                    report.fail(kind="roundtrip-fwd-bwd", t=t, element=repr(a))
-                b = _random_qmpoly(shape, t, rng)
-                report.checks += 1
-                if dd_forward(dd_backward(b)) != b.with_loc(rs):
-                    report.fail(kind="roundtrip-bwd-fwd", t=t, element=repr(b))
-            _sweep(report, shape, _ddalg_of, {})
+            yield _roundtrips_of, shape, samples, seed
+            images = {}  # the forward images the shape's diagrams share
+            for d in enumerate_cauchon_diagrams(shape):
+                yield _ddalg_of, d, images
 
-    return _run(report, body)
+    return _run(report, lambda report: _sweep(report, items))
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +619,20 @@ def run_groebner(
     params = {"samples": samples, "seed": seed}
     if diagram is None:
         params["max"] = [max_m, max_n]
+        items = _per_diagram(_groebner_of, [
+            (shape, shape.mn, samples, seed) for shape in _shapes(max_m, max_n)
+        ])
     else:
         if t is None:
             t = diagram.shape.mn
         params["diagram"] = diagram.to_inline()
         params["t"] = t
+
+        def items():
+            yield _groebner_of, diagram, t, samples, seed
+
     report = Report("groebner", params)
-
-    def body(report):
-        if diagram is not None:
-            _replay(report, [_groebner_of(diagram, t, samples, seed)])
-            return
-        for shape in _shapes(max_m, max_n):
-            _sweep(report, shape, _groebner_of, shape.mn, samples, seed)
-
-    return _run(report, body)
+    return _run(report, lambda report: _sweep(report, items))
 
 
 SUITES = {

@@ -722,7 +722,7 @@ def oracle_lindstrom(max_m=3, max_n=3):
                         report.checks += 1
                         via_sigma = sigma(h, minor_poly(shape, t, spec))
                         systems = enumerate_vdps(h.graph, t, spec.I, spec.J)
-                        via_paths = TorusElement._from_counts(shape, systems.weights)
+                        via_paths = TorusElement._raw(shape, systems.weights)
                         families = tuple(f.key for f in systems.families)
                         if families not in distinct:
                             keys = [system_turn_key(h.graph, s) for s in systems]

@@ -6,7 +6,9 @@ import pytest
 from qmpaths.coeff import ONE, q_power
 from qmpaths.torus import Shape, TorusElement, mono_key, t_gen, torus_product
 from qmpaths.straighten import QmPoly, Threshold
-from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams, generator
+from qmpaths.cauchon import (
+    Diagram, enumerate_cauchon_diagrams, enumerate_vdps, family_grid, generator,
+)
 from qmpaths import cauchon
 from qmpaths.minors import (
     HPrimeHandle,
@@ -589,6 +591,39 @@ def test_sigma_equals_substitution_oracle(m, n):
                 keys = _random_element(rng, sh, t, loc).terms
                 a = QmPoly(sh, t, {k: random_coeff(rng) for k in keys}, loc=loc)
                 assert sigma(h, a) == oracle_sigma(h, a), (d, t, a)
+
+
+def _assert_canonical_parts(parts):
+    # no zero n and no empty inner dict
+    assert all(cs and all(cs.values()) for cs in parts.values()), parts
+
+
+def test_path_sums_systems_and_sigma_values_are_canonical_parts():
+    # every 3x3 diagram at every threshold: the weights of each family, the
+    # inverse of the threshold coordinate's path sum where it is white, and
+    # of every minor its sigma value and, at most at the threshold
+    # coordinate, its path systems' weights
+    sh = Shape(3, 3)
+    specs = [
+        MinorSpec(I, J)
+        for k in (1, 2, 3)
+        for I in combinations(range(1, 4), k)
+        for J in combinations(range(1, 4), k)
+    ]
+    for d in enumerate_cauchon_diagrams(sh):
+        top = HPrimeHandle(d, sh.mn)
+        for t in range(1, sh.mn + 1):
+            h = top.at(t)
+            (r, s), rows = h.rs, family_grid(h.graph, t)[0]
+            for fam in (fam for row in rows for fam in row):
+                _assert_canonical_parts(fam.weights)
+            if not d.is_black((r, s)):
+                _assert_canonical_parts(rows[r - 1][s - 1].inverse_weights)
+            for spec in specs:
+                _assert_canonical_parts(sigma(h, minor_poly(sh, t, spec))._terms)
+                if spec.max_coord <= (r, s):
+                    systems = enumerate_vdps(h.graph, t, spec.I, spec.J)
+                    _assert_canonical_parts(systems.weights)
 
 
 def test_zero_maps_to_zero_in_the_target_algebra(shape23):

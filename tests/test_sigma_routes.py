@@ -38,7 +38,7 @@ def _assert_routes_agree(h, a):
     """Both routes, `sigma` and the oracle give one element; returns it."""
     image = minors._image_lookup(h)
     trie, ltr = (
-        TorusElement._from_counts(h.shape, route(a._terms, image))
+        TorusElement._raw(h.shape, route(a._terms, image))
         for route in (minors._sigma_trie, minors._sigma_left_to_right)
     )
     assert trie == ltr, a
@@ -122,8 +122,8 @@ def test_routes_agree_on_kernel_elements_whose_subtrees_cancel(
         products.append(len(left) * len(right))
         return product(left, right)
 
-    product = minors._monomial_product
-    monkeypatch.setattr(minors, "_monomial_product", counting)
+    product = minors.parts_mul
+    monkeypatch.setattr(minors, "parts_mul", counting)
     rng = random.Random(12)
     saved = 0
     for _ in range(30):
@@ -133,7 +133,7 @@ def test_routes_agree_on_kernel_elements_whose_subtrees_cancel(
         assert minors._sigma_trie(a._terms, image) == {}
         trie = sum(products)
         products.clear()
-        ltr = TorusElement._from_counts(
+        ltr = TorusElement._raw(
             h.shape, minors._sigma_left_to_right(a._terms, image)
         )
         assert ltr.is_zero()

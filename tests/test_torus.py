@@ -15,6 +15,7 @@ from qmpaths.torus import (
     monomial_inverse,
     monomial_mul,
     pair_commutation,
+    parts_mul,
     t_gen,
 )
 
@@ -204,6 +205,41 @@ def test_torus_mul_matches_the_scalar_per_key_oracle():
         for x, y in ((m, m.inverse()), (m.inverse(), m), (m.inverse(), a)):
             assert x * y == oracle_torus_mul(x, y)
         assert m * m.inverse() == TorusElement.one(sh)
+
+
+def test_parts_mul_matches_the_scalar_per_key_oracle():
+    # (u + v + ...)(w - u^-1 v w + ...) for random monomials u, v, w with
+    # negative exponents: the cross terms u (u^-1 v w) and v w cancel, in
+    # part or in full, beside random other terms; the product's parts stay
+    # canonical
+    rng = random.Random(29)
+    sh = Shape(2, 3)
+
+    def monomial():
+        coeff = q_power(rng.randint(-2, 2)) * rng.choice((1, -1))
+        return TorusElement.monomial(sh, _random_key(rng, sh), coeff)
+
+    def extra():
+        return TorusElement(sh, [(_random_key(rng, sh), random_coeff(rng))
+                                 for _ in range(rng.randint(0, 2))])
+
+    cancelled = 0
+    for _ in range(200):
+        u, v, w = monomial(), monomial(), monomial()
+        a = u + v + extra()
+        b = w - u.inverse() * v * w + extra()
+        product = parts_mul(a._terms, b._terms)
+        assert TorusElement._raw(sh, product) == oracle_torus_mul(a, b)
+        assert all(parts and all(parts.values()) for parts in product.values())
+        met = set()  # the (key, q-exponent) of every product of two parts
+        for k1, c1 in a._terms.items():
+            for k2, c2 in b._terms.items():
+                e, k = monomial_mul(k1, k2)
+                met.update((k, p1 + p2 + e) for p1 in c1 for p2 in c2)
+        cancelled += len(met) > sum(map(len, product.values()))
+    assert cancelled >= 150
+    one = TorusElement.one(sh)._terms
+    assert parts_mul({}, one) == parts_mul(one, {}) == parts_mul({}, {}) == {}
 
 
 def test_key_add_merges_like_the_oracle():

@@ -87,7 +87,7 @@ def test_suite_with_zero_checks_does_not_pass():
 
 def test_relations_equal_torus_oracle():
     # every shape up to 3x3: the same report, decided per family grid on
-    # integer path counts and per threshold on TorusElement products
+    # integer parts and per threshold on TorusElement products
     rep = run_relations(3, 3)
     want = oracles.oracle_relations(3, 3)
     assert rep.to_json() == want.to_json()
@@ -223,6 +223,11 @@ class _Interrupted(BaseException):
     pass
 
 
+def _items_2x3(task):
+    # the item stream of a sweep of `task` over the 46 2x3 diagrams
+    return lambda: ((task, d) for d in enumerate_cauchon_diagrams(SHAPE_2X3))
+
+
 def _sweep_2x3(raise_at, exc):
     # a sweep over the 46 2x3 diagrams with one check each, which raises
     # `exc` at the diagram of index raise_at
@@ -232,7 +237,7 @@ def _sweep_2x3(raise_at, exc):
         return 1, []
 
     report = verify.Report("sweep", {})
-    verify._sweep(report, SHAPE_2X3, task)
+    verify._sweep(report, _items_2x3(task))
     return report
 
 
@@ -255,7 +260,7 @@ def test_sweep_names_the_exit_status_of_a_worker_without_result(cpus):
         return 1, []
 
     with pytest.raises(verify.WorkerError, match=r"worker 1 of 3 .*exit status 3"):
-        verify._sweep(verify.Report("sweep", {}), SHAPE_2X3, task)
+        verify._sweep(verify.Report("sweep", {}), _items_2x3(task))
 
 
 @ON_3_CPUS
@@ -275,9 +280,54 @@ def test_sweep_checks_and_truncation_replay_in_enumeration_order(cpus):
         return k + 2, [(2, {"k": k})]
 
     report = verify._run(verify.Report("sweep", {}),
-                         lambda r: verify._sweep(r, SHAPE_2X3, task))
+                         lambda r: verify._sweep(r, _items_2x3(task)))
     assert report.failures == [{"k": k} for k in range(25)] + [{"truncated": True}]
     assert report.checks == sum(k + 2 for k in range(25)) + 2
+
+
+@ON_3_CPUS
+def test_a_suite_forks_once_for_all_its_shapes(monkeypatch, cpus):
+    # the 2x2 and 2x3 diagrams are one stream: two workers, not two per
+    # shape; a sweep of one diagram forks none
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    assert run_relations(2, 3).passed
+    assert len(forks) == 2
+    forks.clear()
+    assert run_groebner(samples=4, seed=1, diagram=Diagram.of(Shape(2, 3))).passed
+    assert forks == []
+
+
+@ON_1_AND_3_CPUS
+@pytest.mark.parametrize("samples", [10, 40], ids=["both-shapes", "truncated"])
+def test_failing_round_trips_keep_their_place(monkeypatch, samples, cpus):
+    # dd_backward doubles its image at every odd level, so the round trips
+    # through an odd level fail, and each shape's are replayed ahead of its
+    # diagrams; with 40 samples the 2x2 round trips fail 24 times and the
+    # report truncates in the 2x3 ones, after the 2x2 diagrams' checks
+    backward = minors.dd_backward
+
+    def faulty(a):
+        image = backward(a)
+        return image + image if a.threshold.t % 2 else image
+
+    monkeypatch.setattr(verify, "dd_backward", faulty)
+    monkeypatch.setattr(oracles, "dd_backward", faulty)
+    rep = run_ddalg(2, 3, samples=samples, seed=4)
+    want = oracles.oracle_ddalg(2, 3, samples=samples, seed=4)
+    assert rep.to_json() == want.to_json()
+    kinds = {f.get("kind") for f in rep.failures}
+    assert kinds <= {"roundtrip-fwd-bwd", "roundtrip-bwd-fwd", None}
+    if samples == 10:
+        assert 0 < len(rep.failures) < 26
+    else:
+        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
 
 
 def test_negative_sample_count_is_refused():
