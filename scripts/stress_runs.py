@@ -8,8 +8,9 @@
   enum-5x5   enumerate_cauchon_diagrams on the 5x5 grid (329,462 diagrams);
              the digest is the sha256 of their inline strings in order, each
              followed by a newline, fed to the hash as they are enumerated
-  verify-4x4 `qmpaths verify all --max 4 4 --samples 15 --format json`,
+  verify-3x4 `qmpaths verify all --max 3 4 --samples 6 --format json`,
              in-process; the digest is the sha256 of its payload
+  verify-4x4 the same with `--max 4 4 --samples 15`
 
 Each case runs in a fresh interpreter, so the process-wide caches start cold
 and the peak RSS is the case's own: the larger of the interpreter's and of
@@ -38,13 +39,15 @@ CASES = {
     "5x5-check": ".#.../#..../...../...../.....",
     "6x6-basis": ".###.#/..#.../#.#.../###.../..#.../#.....",
     "enum-5x5": "...../...../...../...../.....",  # only its shape is read
-    "verify-4x4": "verify all --max 4 4 --samples 15 --format json",  # CLI argv
+    "verify-3x4": "verify all --max 3 4 --samples 6 --format json",  # CLI argv
+    "verify-4x4": "verify all --max 4 4 --samples 15 --format json",
 }
 
 DIGESTS = {
     "5x5-check": "e379fdcd926d8b0515ab6e5ce4d1da29aed92f59033a95d8f7df23386c09b697",
     "6x6-basis": "3f9ed5c1c3756b6793f461848aa4f316b0dac8232e92fadedbf2e77c711030b4",
     "enum-5x5": "a742ad635e8bc5e167c1392421d475ca168180b5cfdf15c68463ce4e4242a3b4",
+    "verify-3x4": "67c81e61c32cb1f79f665ad4edd9837a4d192cdb9e81a9914b02d10f3ff12e58",
     "verify-4x4": "0247d7d0421d2bdee8de4122883c01330cd6bd049646671d5cbf06445cab917b",
 }
 
@@ -60,7 +63,7 @@ def run_case(name: str) -> dict:
 
     digest = hashlib.sha256()
     start = time.perf_counter()
-    if name == "verify-4x4":
+    if name.startswith("verify-"):
         payload = io.StringIO()
         with contextlib.redirect_stdout(payload):
             cli.main(CASES[name].split())

@@ -480,25 +480,18 @@ def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
 
 
 def family_grid(g: CauchonGraph, t: int) -> tuple:
-    """(rows, key): the families `enumerate_gamma` returns at threshold t
-    for every (i, j), as m rows of n, and the tuple of their keys in
-    row-major order.  Cached on the graph per threshold coordinate.
-
-    Thresholds with equal keys were handed the same family objects, so a
-    check computed from the families alone holds at all of them or at
-    none.
+    """The families `enumerate_gamma` returns at threshold t for every
+    (i, j), as m rows of n.  Cached on the graph per threshold coordinate.
     """
     rs = g.shape.threshold_coord(t)
-    hit = g._grid_cache.get(rs)
-    if hit is None:
+    rows = g._grid_cache.get(rs)
+    if rows is None:
         cols = range(1, g.shape.n + 1)
-        rows = tuple(
+        rows = g._grid_cache[rs] = tuple(
             tuple([enumerate_gamma(g, t, i, j) for j in cols])
             for i in range(1, g.shape.m + 1)
         )
-        key = tuple(fam.key for row in rows for fam in row)
-        hit = g._grid_cache[rs] = (rows, key)
-    return hit
+    return rows
 
 
 def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
@@ -511,7 +504,7 @@ def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
 
 
 def generator_matrix(g: CauchonGraph, t: int) -> tuple:
-    return tuple(tuple(fam.generator for fam in row) for row in family_grid(g, t)[0])
+    return tuple(tuple(fam.generator for fam in row) for row in family_grid(g, t))
 
 
 # ---------------------------------------------------------------------------

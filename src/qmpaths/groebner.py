@@ -160,7 +160,7 @@ def _kernel_sweep(handle: HPrimeHandle) -> tuple[list, list]:
     They are searched by `disjoint_pick_exists` over the vertex sets of the
     families in the threshold's family grid.
     """
-    rows = family_grid(handle.graph, handle.t)[0]
+    rows = family_grid(handle.graph, handle.t)
     kernel, searched = [], []
     in_kernel = []  # per candidate, in sweep order
     for spec, coords, subs in _minor_candidates(handle.rs, handle.shape.n):

@@ -187,7 +187,7 @@ def _image_lookup(handle: HPrimeHandle):
     (e = -1) at the handle's threshold, as parts {N: {c: n}}: the `weights` or
     `inverse_weights` of gamma(t; i, j) in the graph's family grid, shared
     by every call and handle at that threshold and never mutated."""
-    rows = family_grid(handle.graph, handle.t)[0]
+    rows = family_grid(handle.graph, handle.t)
     black = handle.diagram.black
 
     def image(i, j, e):

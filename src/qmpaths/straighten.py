@@ -192,20 +192,27 @@ def count_terms_in_grade(gv: GradeVector) -> int:
 #
 # The correction letters lie below z, so they are inserted recursively into
 # the prefix times z^(+-(e-1-h)), and z^(+-h) and the passed suffix are then
-# re-attached as they are.  A nested correction happens at a coordinate
-# below z, so the recursion is at most mn deep.  The branch coefficient
-# +-q^dq (q - q^{-1}) times the incoming parts is multiplied out once per
-# corrected block; neighbouring exponents can cancel there, and every merge
-# drops zero parts and keys left with none, so results are canonical parts.
+# re-attached as they are.  For e > 0 both letters share a row or a column
+# with z, so each passes z^k for q^(-k): copy h is the prefix's fold times
+# z^(e-1), shifted by q^(-2(e-1-h)), and the e copies are one fold of the
+# prefix whose parts carry (q - q^{-1})(1 + q^-2 + ... + q^-2(e-1)) =
+# q - q^(1-2e).  The inverted letter folds once per copy.  A nested
+# correction happens at a coordinate below z, so the recursion is at most
+# mn deep.  The branch coefficient times the incoming parts is multiplied
+# out once per fold; neighbouring exponents can cancel there, and every
+# merge drops zero parts and keys left with none, so results are canonical
+# parts.
 # Parts handed in are read, never mutated: they may be an operand's own.
 
 
-def _lam_times(parts: dict, dq: int, sign: int) -> dict:
-    """sign q^dq (q - q^{-1}) parts, with zero parts dropped."""
+def _lam_times(parts: dict, dq: int, sign: int, e: int = 1) -> dict:
+    """sign q^dq (q - q^{-1}) (1 + q^-2 + ... + q^-2(e-1)) parts, that is
+    sign q^dq (q - q^(1-2e)) parts, with zero parts dropped."""
     out: dict = {}
+    low = dq + 1 - 2 * e
     for p, n in parts.items():
         out[p + dq + 1] = out.get(p + dq + 1, 0) + sign * n
-        out[p + dq - 1] = out.get(p + dq - 1, 0) - sign * n
+        out[p + low] = out.get(p + low, 0) - sign * n
     return {p: n for p, n in out.items() if n}
 
 
@@ -231,19 +238,22 @@ def _insert_letter(rs: Coord, key: MonoKey, y, parts: dict, out: dict) -> None:
         if zi == yi or zj == yj:
             shift -= e * ye
         elif zj > yj and (zi, zj) <= rs:
-            if e > 0:
-                unit, copies, dq, sign = 1, e, shift, -1
-                letters = ((yi, zj, 1), (zi, yj, 1))
-            else:  # the inverted letter, at rs
-                unit, copies, dq, sign = -1, -e, shift + 2, 1
-                letters = ((yi, zj, 1), (zi, yj, 1), (zi, zj, -1), (zi, zj, -1))
-            lam = _lam_times(parts, dq, sign)
             prefix, suffix = key[: p - 1], key[p:]
-            for h in range(copies):
-                start = _reattach(prefix, zi, zj, unit * (copies - 1 - h))
-                for k2, c2 in _fold(rs, {start: lam}, letters).items():
-                    add_parts(out, _reattach(k2, zi, zj, unit * h) + suffix,
+            if e > 0:
+                # every copy lands on the prefix's fold times z^(e-1): one
+                # fold, with the copies' q-shifts summed into its parts
+                lam = _lam_times(parts, shift, -1, e)
+                for k2, c2 in _fold(rs, {prefix: lam}, ((yi, zj, 1), (zi, yj, 1))).items():
+                    add_parts(out, _reattach(k2, zi, zj, e - 1) + suffix,
                               c2.items(), ONE.terms)
+            else:  # the inverted letter, at rs
+                lam = _lam_times(parts, shift + 2, 1)
+                letters = ((yi, zj, 1), (zi, yj, 1), (zi, zj, -1), (zi, zj, -1))
+                for h in range(-e):
+                    start = _reattach(prefix, zi, zj, e + 1 + h)
+                    for k2, c2 in _fold(rs, {start: lam}, letters).items():
+                        add_parts(out, _reattach(k2, zi, zj, -h) + suffix,
+                                  c2.items(), ONE.terms)
         p -= 1
     if p and key[p - 1][0] == yi and key[p - 1][1] == yj:
         e = key[p - 1][2] + ye

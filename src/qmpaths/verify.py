@@ -10,6 +10,16 @@ shape for ddalg's round trips), over one process per CPU in the affinity
 mask, so `taskset -c 0 qmpaths verify ...` runs it in one process.  The
 reports are byte-identical either way: every result is replayed in item
 order.  `Report.elapsed` is the wall time of the whole suite.
+
+The threshold-sweeping suites (relations, lindstrom, ddalg) rest on one
+premise: a check is a function of the path records of the families it
+reads, each path's vertex tuple, q-exponent and weight key, from which
+`weights`, `vertex_sets`, `monomials`, `generator` and `inverse_weights`
+are derived.  The same families recur across the diagrams of a shape, so
+each sweep process keeps one table per shape (`_Table`) that interns every
+family's content to a small id and holds the decisions keyed by the ids of
+the families each check reads.  Every diagram and threshold still counts
+and reports its own checks from those decisions.
 """
 
 from __future__ import annotations
@@ -238,14 +248,52 @@ def _end_workers(workers) -> None:
             pass
 
 
-def _per_diagram(task, shapes: list):
+class _Table(dict):
+    """A suite's decisions for the diagrams of one shape, keyed by what each
+    check reads: the content ids of its families (`content_ids`) and
+    whatever else it depends on.  A check is a function of the path records
+    of the families it reads, so one decision serves every diagram and
+    threshold whose families hold the same paths.
+
+    `contents` interns each distinct content, the (path, q-exponent, key)
+    of every path record of a family, to a small int.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.contents: dict = {}
+
+    def content_ids(self):
+        """content_id(fam): the content id of a family of one diagram,
+        cached per family key, so a diagram builds each family's content
+        once."""
+        contents, local = self.contents, {}
+
+        def content_id(fam):
+            cid = local.get(fam.key)
+            if cid is None:
+                content = tuple([(r[0], r[2], r[3]) for r in fam.records])
+                cid = local[fam.key] = contents.setdefault(content, len(contents))
+            return cid
+
+        return content_id
+
+
+def _per_diagram(task, shapes: list, tabled: bool = False):
     """The items (task, d, *args) for every Cauchon diagram d of each
-    (shape, *args) in `shapes`, as a stream for `_sweep`."""
-    return lambda: (
-        (task, d, *args)
-        for shape, *args in shapes
-        for d in enumerate_cauchon_diagrams(shape)
-    )
+    (shape, *args) in `shapes`, as a stream for `_sweep`.  With `tabled`,
+    each item also carries its shape's `_Table`, made anew by every call of
+    the stream: each sweep process fills its own and frees it with the
+    stream."""
+
+    def items():
+        for shape, *args in shapes:
+            if tabled:
+                args.append(_Table())
+            for d in enumerate_cauchon_diagrams(shape):
+                yield (task, d, *args)
+
+    return items
 
 
 def _sweep(report: Report, items) -> None:
@@ -322,11 +370,14 @@ def _ad_relation(mul, a, b, c, dd, commuting: bool) -> bool:
     return mul(a, dd) == rhs
 
 
-def _relations_of(d: Diagram, subs: list) -> tuple:
+def _relations_of(d: Diagram, subs: list, table: _Table) -> tuple:
     """The relations of every 2x2 submatrix in `subs` at every threshold,
-    for one diagram."""
+    for one diagram.  `table` holds the decisions of the shape's diagrams,
+    per content ids of a submatrix's four families (and, for ad, per
+    branch)."""
     shape = d.shape
     g = build_graph(d)
+    content_id = table.content_ids()
     products: dict = {}
 
     def mul(u, v):
@@ -336,23 +387,24 @@ def _relations_of(d: Diagram, subs: list) -> tuple:
         return p
 
     checks, failures = 0, []
-    tables: dict = {}  # grid key -> {submatrix (, branch): held}
     for t in range(1, shape.mn + 1):
         rs = shape.threshold_coord(t)
-        X, grid = family_grid(g, t)
-        table = tables.setdefault(grid, {})
+        X = family_grid(g, t)
+        ids = [[content_id(fam) for fam in row] for row in X]
         for sub in subs:
             i, j, k, l = sub
             commuting = (k, l) > rs
-            fixed = table.get(sub)
-            ad = table.get((sub, commuting))
+            quad = (ids[i - 1][j - 1], ids[i - 1][l - 1],
+                    ids[k - 1][j - 1], ids[k - 1][l - 1])
+            fixed = table.get(quad)
+            ad = table.get((*quad, commuting))
             if fixed is None or ad is None:
-                quad = (X[i - 1][j - 1], X[i - 1][l - 1],
+                fams = (X[i - 1][j - 1], X[i - 1][l - 1],
                         X[k - 1][j - 1], X[k - 1][l - 1])
                 if fixed is None:
-                    fixed = table[sub] = _fixed_relations(mul, *quad)
+                    fixed = table[quad] = _fixed_relations(mul, *fams)
                 if ad is None:
-                    ad = table[sub, commuting] = _ad_relation(mul, *quad, commuting)
+                    ad = table[(*quad, commuting)] = _ad_relation(mul, *fams, commuting)
             if ad and all(fixed):
                 checks += 6
                 continue
@@ -374,13 +426,13 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
     threshold-t algebra, for every diagram and threshold in range.
 
     The generators are compared as their families' path sums, integer
-    parts {N: {c: n}}.  The relations depend on the threshold only through
-    the family grid and, for ad, through whether the threshold coordinate
-    lies before the submatrix's corner d.  So each relation is decided once
-    per distinct grid of a diagram (`family_grid`'s key), the ad relation
-    once per branch a threshold asks for, and every threshold counts and
-    reports from that table.  Each ordered product of two families is
-    formed once per diagram.
+    parts {N: {c: n}}.  The relations of a submatrix read its four families
+    and, for ad, whether the threshold coordinate lies before its corner d.
+    So each relation is decided once per shape for each distinct content of
+    the four families (`_Table`), the ad relation once per branch a
+    threshold asks for, and every diagram and threshold counts and reports
+    from that table.  Each ordered product of two families is formed at
+    most once per diagram.
     """
     report = Report("relations", {"max": [max_m, max_n]})
 
@@ -393,7 +445,7 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
                 for i, k in combinations(rows, 2)
                 for j, l in combinations(cols, 2)
             ]))
-        _sweep(report, _per_diagram(_relations_of, shapes))
+        _sweep(report, _per_diagram(_relations_of, shapes, tabled=True))
 
     return _run(report, body)
 
@@ -423,21 +475,24 @@ def _lindstrom_holds(
     )
 
 
-def _lindstrom_of(d: Diagram, levels: list) -> tuple:
+def _lindstrom_of(d: Diagram, levels: list, table: _Table) -> tuple:
     """Every minor of `levels` (per threshold, the minors it checks with
-    their polynomials) for one diagram."""
+    their polynomials and the row-major indices of their k x k families)
+    for one diagram.  `table` holds the decisions of the shape's diagrams,
+    per minor and content ids of its families."""
     base = HPrimeHandle(d, 1)
+    content_id = table.content_ids()
     distinct: dict = {}
-    decided: dict = {}  # (grid key, minor index) -> held
     checks, failures = 0, []
     for t, checked in levels:
         h = base.at(t)
-        grid = family_grid(h.graph, t)[1]
-        for n, spec, poly in checked:
+        ids = [content_id(fam) for row in family_grid(h.graph, t) for fam in row]
+        for n, spec, poly, cells in checked:
             checks += 1
-            ok = decided.get((grid, n))
+            key = (n, *[ids[c] for c in cells])
+            ok = table.get(key)
             if ok is None:
-                ok = decided[grid, n] = _lindstrom_holds(h, spec, poly, distinct)
+                ok = table[key] = _lindstrom_holds(h, spec, poly, distinct)
             if not ok:
                 failures.append(
                     (checks, {"diagram": d.to_inline(), "t": t, "minor": str(spec)})
@@ -451,11 +506,12 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     path-system weight sum, vanishing exactly when the family is empty, and
     distinct systems have distinct exponent matrices.
 
-    Both sides depend on the threshold only through the families, so each
-    minor is decided once per distinct family grid of a diagram
-    (`family_grid`'s key) and every threshold with that grid counts and
-    reports from the decision.  The minors' polynomials are looked up once
-    per shape and threshold, before the sweep.
+    Sigma reads the images of all k x k families (I_r, J_s) of the minor,
+    and the path systems the diagonal ones, so each minor is decided once
+    per shape for each distinct content of those families (`_Table`), and
+    every diagram and threshold counts and reports from the decision.  The
+    minors' polynomials are looked up once per shape and threshold, before
+    the sweep.
     """
     report = Report("lindstrom", {"max": [max_m, max_n]})
 
@@ -468,15 +524,19 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                 for I in combinations(range(1, shape.m + 1), k)
                 for J in combinations(range(1, shape.n + 1), k)
             ]
+            cells = [
+                tuple((i - 1) * shape.n + j - 1 for i in spec.I for j in spec.J)
+                for spec in specs
+            ]
             shapes.append((shape, [
                 (t, [
-                    (n, spec, minor_poly(shape, t, spec))
+                    (n, spec, minor_poly(shape, t, spec), cells[n])
                     for n, spec in enumerate(specs)
                     if spec.max_coord <= shape.threshold_coord(t)
                 ])
                 for t in range(1, shape.mn + 1)
             ]))
-        _sweep(report, _per_diagram(_lindstrom_of, shapes))
+        _sweep(report, _per_diagram(_lindstrom_of, shapes, tabled=True))
 
     return _run(report, body)
 
@@ -517,51 +577,79 @@ def _roundtrips_of(shape: Shape, samples: int, seed: int) -> tuple:
     return checks, failures
 
 
-def _ddalg_of(d: Diagram, images: dict) -> tuple:
+def _ddalg_of(d: Diagram, images: dict, table: _Table) -> tuple:
     """The exact generator identities in the torus, and the compatibility
     of the evaluation maps across one level, at every threshold of one
     diagram.  `images` caches (t, coord) -> (y_coord at t-1, its forward
-    image) for the diagram's shape."""
+    image) for the diagram's shape.  `table` holds the checks of a
+    coordinate across a level for the shape's diagrams, per (t, i, j,
+    whether the threshold coordinate is black) and content ids of the
+    families they read at both levels: (i, j), and in the northwest case
+    (i, s), (r, j) and (r, s)."""
     shape = d.shape
     base = HPrimeHandle(d, 1)
     g = base.graph
+    content_id = table.content_ids()
+
+    def grid_ids(t):
+        return [[content_id(fam) for fam in row] for row in family_grid(g, t)]
+
     checks, failures = 0, []
+    hi_ids = grid_ids(1)
     for t in range(2, shape.mn + 1):
         r, s = rs = shape.threshold_coord(t)
         in_b = d.is_black(rs)
-        h_hi = base.at(t)
-        h_lo = base.at(t - 1)
-        hi, lo = family_grid(g, t)[0], family_grid(g, t - 1)[0]
-        y_rs_inv = None if in_b else lo[r - 1][s - 1].generator.inverse()
+        hi, lo = family_grid(g, t), family_grid(g, t - 1)
+        lo_ids, hi_ids = hi_ids, grid_ids(t)
         for (i, j) in shape.coords():
-            x = hi[i - 1][j - 1].generator
-            y = lo[i - 1][j - 1].generator
-            held = {}  # kind -> whether the check held, in check order
-            if in_b or i >= r or j >= s:
-                held["generator-stability"] = x == y
-            else:
-                corr = (
-                    lo[i - 1][s - 1].generator
-                    * y_rs_inv
-                    * lo[r - 1][j - 1].generator
+            nw = not in_b and i < r and j < s
+            cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
+            key = (t, i, j, in_b, *[hi_ids[a - 1][b - 1] for a, b in cells],
+                   *[lo_ids[a - 1][b - 1] for a, b in cells])
+            held = table.get(key)
+            if held is None:
+                held = table[key] = _level_checks(
+                    base, t, i, j, in_b, hi, lo, images
                 )
-                held["generator-derivation-identity"] = x == y + corr
-            if not in_b:
-                # sigma at level t of the forward image matches sigma at
-                # level t-1
-                pair = images.get((t, (i, j)))
-                if pair is None:
-                    ygen = QmPoly.generator(shape, t - 1, (i, j))
-                    pair = images[t, (i, j)] = (ygen, dd_forward(ygen))
-                ygen, image = pair
-                held["sigma-derivation-compat"] = sigma(h_hi, image) == sigma(h_lo, ygen)
-            for kind, ok in held.items():
+            for kind, ok in held:
                 checks += 1
                 if not ok:
                     failures.append((checks, {
                         "kind": kind, "diagram": d.to_inline(), "t": t, "coord": [i, j],
                     }))
     return checks, failures
+
+
+def _level_checks(base, t, i, j, in_b, hi, lo, images) -> tuple:
+    """(kind, held) per check of coordinate (i, j) across level t, in check
+    order, from the family grids hi at t and lo at t - 1 of the diagram of
+    the handle `base`: the generator identity, and unless the threshold
+    coordinate is black, sigma at level t of the forward image of y_{i,j}
+    against sigma at level t - 1 of y_{i,j}."""
+    shape = base.shape
+    r, s = shape.threshold_coord(t)
+    x = hi[i - 1][j - 1].generator
+    y = lo[i - 1][j - 1].generator
+    if in_b or i >= r or j >= s:
+        held = [("generator-stability", x == y)]
+    else:
+        corr = (
+            lo[i - 1][s - 1].generator
+            * lo[r - 1][s - 1].generator.inverse()
+            * lo[r - 1][j - 1].generator
+        )
+        held = [("generator-derivation-identity", x == y + corr)]
+    if not in_b:
+        pair = images.get((t, (i, j)))
+        if pair is None:
+            ygen = QmPoly.generator(shape, t - 1, (i, j))
+            pair = images[t, (i, j)] = (ygen, dd_forward(ygen))
+        ygen, image = pair
+        held.append((
+            "sigma-derivation-compat",
+            sigma(base.at(t), image) == sigma(base.at(t - 1), ygen),
+        ))
+    return tuple(held)
 
 
 def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0) -> Report:
@@ -572,8 +660,12 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     The round trips of a shape draw from one generator, so they are one
     item of the sweep, ahead of the shape's diagrams.  The level t-1
     generators and their forward images do not depend on the diagram, so
-    each is built once per (shape, t, coordinate) in each sweep process;
-    their evaluations are compared per diagram.
+    each is built once per (shape, t, coordinate) in each sweep process.
+    The checks of a coordinate across a level read only its families (and,
+    in the northwest case, those of (i, s), (r, j) and (r, s)) at both
+    levels, so they are decided once per shape for each distinct content
+    of those families (`_Table`), and every diagram counts and reports from
+    the decision.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -584,9 +676,10 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     def items():
         for shape in _shapes(max_m, max_n):
             yield _roundtrips_of, shape, samples, seed
-            images = {}  # the forward images the shape's diagrams share
+            # what the shape's diagrams share: forward images and decisions
+            images, table = {}, _Table()
             for d in enumerate_cauchon_diagrams(shape):
-                yield _ddalg_of, d, images
+                yield _ddalg_of, d, images, table
 
     return _run(report, lambda report: _sweep(report, items))
 

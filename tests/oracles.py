@@ -768,8 +768,8 @@ def oracle_ddalg(max_m=3, max_n=3, samples=500, seed=0):
                     r, s = rs = shape.threshold_coord(t)
                     in_b = d.is_black(rs)
                     h_hi, h_lo = base.at(t), base.at(t - 1)
-                    hi = family_grid(base.graph, t)[0]
-                    lo = family_grid(base.graph, t - 1)[0]
+                    hi = family_grid(base.graph, t)
+                    lo = family_grid(base.graph, t - 1)
                     for (i, j) in shape.coords():
                         x = hi[i - 1][j - 1].generator
                         y = lo[i - 1][j - 1].generator

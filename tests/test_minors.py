@@ -614,7 +614,7 @@ def test_path_sums_systems_and_sigma_values_are_canonical_parts():
         top = HPrimeHandle(d, sh.mn)
         for t in range(1, sh.mn + 1):
             h = top.at(t)
-            (r, s), rows = h.rs, family_grid(h.graph, t)[0]
+            (r, s), rows = h.rs, family_grid(h.graph, t)
             for fam in (fam for row in rows for fam in row):
                 _assert_canonical_parts(fam.weights)
             if not d.is_black((r, s)):

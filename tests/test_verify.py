@@ -103,20 +103,20 @@ def test_lindstrom_equal_per_threshold_oracle():
     assert rep.checks == 17910 and rep.passed
 
 
-def _select_as_at(monkeypatch, target, t, coords, source, every_diagram):
+def _select_as_at(monkeypatch, shape, t, coords, source, diagrams):
     # a selection bug at one threshold coordinate: at threshold t, gamma(t;
     # i, j) for (i, j) in coords comes back as at threshold source(t), for
-    # the target diagram (or for every diagram of its shape); every other
-    # family is untouched
+    # the diagrams of the shape that the predicate `diagrams` picks; every
+    # other family is untouched
     select = cauchon.enumerate_gamma
-    rs = target.shape.threshold_coord(t)
+    rs = shape.threshold_coord(t)
 
     def faulty(g, tt, i, j):
         if (
             (i, j) in coords
-            and g.shape == target.shape
+            and g.shape == shape
             and g.shape.threshold_coord(tt) == rs
-            and (every_diagram or g.diagram == target)
+            and diagrams(g.diagram)
         ):
             tt = source(tt)
         return select(g, tt, i, j)
@@ -124,16 +124,23 @@ def _select_as_at(monkeypatch, target, t, coords, source, every_diagram):
     monkeypatch.setattr(cauchon, "enumerate_gamma", faulty)
 
 
+SHAPE_3X3 = Shape(3, 3)
 ALL_WHITE_3X3 = Diagram.from_text(".../.../...")
+
+
+def _all_white(d):
+    return d == ALL_WHITE_3X3
+
+
 FAULTS = {
     # gamma(8; 1, 2) holds every path, as at the top threshold
-    "one-family": (8, {(1, 2)}, lambda t: 9, False),
+    "one-family": (8, {(1, 2)}, lambda t: 9, _all_white),
     # the same, in every 3x3 diagram: the run stops at the 26th failure
-    "one-family-every-diagram": (8, {(1, 2)}, lambda t: 9, True),
+    "one-family-every-diagram": (8, {(1, 2)}, lambda t: 9, lambda d: True),
     # every family at t = 5 as at t = 4, so the grid equals the one at t = 4,
     # while ad = da + (q - q^-1) bc now applies to the submatrix cornered at
     # (2, 2)
-    "lagging-grid": (5, set(ALL_WHITE_3X3.shape.coords()), lambda t: t - 1, False),
+    "lagging-grid": (5, set(SHAPE_3X3.coords()), lambda t: t - 1, _all_white),
 }
 
 
@@ -147,16 +154,43 @@ FAULTS = {
 def test_faulty_selection_fails_both_routes_at_its_threshold(
     monkeypatch, suite, oracle, fault, cpus
 ):
-    t, coords, source, every_diagram = FAULTS[fault]
-    _select_as_at(monkeypatch, ALL_WHITE_3X3, t, coords, source, every_diagram)
+    t = FAULTS[fault][0]
+    _select_as_at(monkeypatch, SHAPE_3X3, *FAULTS[fault])
     rep, want = suite(3, 3), oracle(3, 3)
     assert rep.to_json() == want.to_json()
     assert rep.failures and not rep.passed
-    if every_diagram:
+    if fault == "one-family-every-diagram":
         assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
         assert {f["t"] for f in rep.failures[:-1]} == {t}
     else:
         assert {(f["diagram"], f["t"]) for f in rep.failures} == {(".../.../...", t)}
+
+
+DDALG_FAULTS = {
+    # gamma(5; 1, 2) of one diagram holds every path, as at the top
+    # threshold: the checks across levels 5 and 6 fail there
+    "one-diagram": (5, {(1, 2)}, lambda t: 9, _all_white),
+    # the same in about half of the 3x3 diagrams: the report truncates
+    "odd-black": (5, {(1, 2)}, lambda t: 9, lambda d: len(d.black) % 2 == 1),
+}
+
+
+@ON_1_AND_3_CPUS
+@pytest.mark.parametrize("fault", DDALG_FAULTS)
+def test_ddalg_equals_serial_oracle(monkeypatch, fault, cpus):
+    # the checks are decided once per content of the families they read,
+    # so the faults change families, as the fault itself would
+    _select_as_at(monkeypatch, SHAPE_3X3, *DDALG_FAULTS[fault])
+    rep = run_ddalg(3, 3, samples=20, seed=3)
+    want = oracles.oracle_ddalg(3, 3, samples=20, seed=3)
+    assert rep.to_json() == want.to_json()
+    assert rep.failures and not rep.passed
+    if fault == "odd-black":
+        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+    else:
+        assert {(f["diagram"], f["t"]) for f in rep.failures} == {
+            (".../.../...", 5), (".../.../...", 6)
+        }
 
 
 def _doubled_sigma_at(monkeypatch, level, diagrams):
@@ -166,31 +200,29 @@ def _doubled_sigma_at(monkeypatch, level, diagrams):
 
     def faulty(h, a):
         value = sigma(h, a)
-        if h.t == level and h.shape == Shape(3, 3) and diagrams(h.diagram):
+        if h.t == level and h.shape == SHAPE_3X3 and diagrams(h.diagram):
             value = value + value
         return value
 
     monkeypatch.setattr(verify, "sigma", faulty)
-    monkeypatch.setattr(oracles, "sigma", faulty)
-
-
-SUITE_FAULTS = {
-    "one-diagram": lambda d: d == ALL_WHITE_3X3,
-    # about half of the 3x3 diagrams: the report truncates
-    "odd-black": lambda d: len(d.black) % 2 == 1,
-}
 
 
 @ON_1_AND_3_CPUS
-@pytest.mark.parametrize("fault", SUITE_FAULTS)
-def test_ddalg_equals_serial_oracle(monkeypatch, fault, cpus):
-    _doubled_sigma_at(monkeypatch, 5, SUITE_FAULTS[fault])
+def test_ddalg_fails_at_the_first_diagram_of_a_diagram_keyed_fault(monkeypatch, cpus):
+    # a fault that no content of the families explains: the first 3x3
+    # diagram of the stream decides its own checks, so the suite still fails
+    # there first, whichever process takes it
+    _doubled_sigma_at(monkeypatch, 5, _all_white)
     rep = run_ddalg(3, 3, samples=20, seed=3)
-    want = oracles.oracle_ddalg(3, 3, samples=20, seed=3)
-    assert rep.to_json() == want.to_json()
     assert rep.failures and not rep.passed
-    if fault == "odd-black":
-        assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+    assert rep.failures[0]["diagram"] == ".../.../..."
+
+
+SUITE_FAULTS = {
+    "one-diagram": _all_white,
+    # about half of the 3x3 diagrams: the report truncates
+    "odd-black": lambda d: len(d.black) % 2 == 1,
+}
 
 
 @ON_1_AND_3_CPUS
@@ -201,7 +233,7 @@ def test_groebner_equals_serial_oracle(monkeypatch, fault, cpus):
 
     def faulty(h, samples, seed):
         sub = check(h, samples=samples, seed=seed)
-        if h.shape == Shape(3, 3) and chosen(h.diagram):
+        if h.shape == SHAPE_3X3 and chosen(h.diagram):
             sub.failures.append({"kind": "injected", "element": "", "detail": ""})
         return sub
 
@@ -213,6 +245,49 @@ def test_groebner_equals_serial_oracle(monkeypatch, fault, cpus):
     assert rep.failures and not rep.passed
     if fault == "odd-black":
         assert len(rep.failures) == 26 and rep.failures[-1] == {"truncated": True}
+
+
+TABLED_SUITES = {
+    "relations": (run_relations, oracles.oracle_relations),
+    "lindstrom": (run_lindstrom, oracles.oracle_lindstrom),
+    "ddalg": (
+        lambda m, n: run_ddalg(m, n, samples=6, seed=2),
+        lambda m, n: oracles.oracle_ddalg(m, n, samples=6, seed=2),
+    ),
+}
+
+
+@ON_1_AND_3_CPUS
+@pytest.mark.parametrize("bound", [(2, 4), (4, 2)], ids=lambda b: "x".join(map(str, b)))
+@pytest.mark.parametrize("suite", TABLED_SUITES)
+def test_content_tables_equal_oracles_on_long_shapes(suite, bound, cpus):
+    # 2x4 and 4x2 share more family contents across diagrams than 3x3
+    run, oracle = TABLED_SUITES[suite]
+    rep = run(*bound)
+    assert rep.to_json() == oracle(*bound).to_json()
+    assert rep.passed
+
+
+def test_equal_content_ids_hold_equal_families():
+    # every diagram and threshold up to 3x3: families that share a content
+    # id share everything a check reads of them
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        shape = Shape(m, n)
+        table, first = verify._Table(), {}
+        for d in enumerate_cauchon_diagrams(shape):
+            g = cauchon.build_graph(d)
+            content_id = table.content_ids()
+            for t in range(1, shape.mn + 1):
+                rs = shape.threshold_coord(t)
+                for fam in sum(cauchon.family_grid(g, t), ()):
+                    seen = first.setdefault(content_id(fam), fam)
+                    assert fam.weights == seen.weights
+                    assert fam.vertex_sets == seen.vertex_sets
+                    assert fam.monomials == seen.monomials
+                    assert fam.generator == seen.generator
+                    if fam.key[:2] == rs and d.is_white(rs):
+                        assert fam.inverse_weights == seen.inverse_weights
+        assert len(first) == len(table.contents)
 
 
 SHAPE_2X3 = Shape(2, 3)
