@@ -19,8 +19,8 @@ coordinate (r, s).  The families are nested in t, and at t = mn gamma holds
 every row-i-to-column-j path, so each family is a filter over one search
 from row vertex i that records, per path, its weight monomial and its
 largest vertical-to-horizontal turn.  The m x n families at one threshold
-form its family grid (`family_grid`), which the evaluation, the kernel
-sweep and the verify suites all read.
+form its family grid (`family_grid`), the one way to reach a family, which
+the evaluation, the kernel sweep and the verify suites all read.
 """
 
 from __future__ import annotations
@@ -222,14 +222,15 @@ class CauchonGraph:
 
     The graph also holds the evaluation data derived from it, built on
     first use: per row i, every path from row i to each column with its
-    vertex set, weight monomial and largest reflected-L turn; per (threshold
-    coordinate, i, j), the restricted family read off that list; and per
-    tuple of families, the vertex-disjoint path systems picked from them.
-    A family changes only at a threshold that passes one of its paths' turn
-    bounds, so one family object is built per (i, j, largest bound at or
-    below the threshold) and stored under every threshold that selects it.
-    `family_grid` keeps the m x n families per threshold coordinate: the
-    one table that sigma's images, the kernel sweep and the verify suites
+    vertex set, weight monomial and largest reflected-L turn, and per
+    column the sorted distinct turn bounds of those paths; per threshold
+    coordinate, its family grid (`family_grid`); per (i, j, largest bound
+    at or below a threshold), the restricted family read off the paths;
+    and per tuple of families, the vertex-disjoint path systems picked
+    from them.  A family changes only at a threshold that passes one of
+    its paths' turn bounds, so every grid that selects the same paths
+    holds one family object.  The grid is the one table that sigma's
+    images, the path systems, the kernel sweep and the verify suites
     read.  Those objects are shared by every caller and must not be
     mutated.
     """
@@ -273,11 +274,9 @@ class CauchonGraph:
                     add(white_vertex(i, j), col_vertex(j))
                     break
         self.out = {u: tuple(sorted(vs)) for u, vs in out.items()}
-        self._paths_cache: dict = {}  # row i -> path records per column
-        self._gamma_cache: dict = {}  # (threshold coordinate, i, j) -> _Family
+        self._paths_cache: dict = {}  # row i -> (records, bounds) per column
         self._grid_cache: dict = {}  # threshold coordinate -> family grid
         self._family_cache: dict = {}  # (i, j, bound) -> _Family
-        self._bounds_cache: dict = {}  # (i, j) -> sorted distinct path bounds
         self._systems_cache: dict = {}  # family keys -> systems
 
     def out_edges(self, v: Vertex) -> tuple:
@@ -372,7 +371,7 @@ class _Family(tuple):
     """gamma(t; i, j): its paths, carrying their vertex sets (same order) as
     `vertex_sets`, their weight sum as `weights`, the parts {key:
     {q-exponent: number of paths}} of a torus sum, their path records (see
-    `_row_column_paths`) as `records`, and as `key` the (i, j, bound) it is
+    `_row_paths`) as `records`, and as `key` the (i, j, bound) it is
     stored under on its graph.  Built from those on first read: each path's
     weight monomial, `monomials`, {path: (q-exponent, key)}, which only path
     systems read, the weight sum as a TorusElement holding `weights`,
@@ -394,8 +393,10 @@ class _Family(tuple):
 
 def _row_paths(g: CauchonGraph, i: int) -> tuple:
     """Per column j, at index j - 1, the records of every path row i ->
-    column j (see `_row_column_paths`): one search from row vertex i,
-    cached on the graph per row.
+    column j and the sorted distinct bounds of those records: one search
+    from row vertex i, cached on the graph per row.  A record is (path,
+    vertex set, q-exponent, key, largest reflected-L turn or (0, 0)), in
+    lexicographic order of the vertex sequences.
 
     The search carries each partial path's last edge direction, weight
     monomial and largest reflected-L turn, so each turn is read once, where
@@ -429,69 +430,71 @@ def _row_paths(g: CauchonGraph, i: int) -> tuple:
                 else:  # a reflected-L turn, below every earlier one
                     c, key = monomial_mul(mono, ((v[1], v[2], -1),))
                     stack.append((path + (w,), dout, qexp + c, key, (v[1], v[2])))
-        columns = g._paths_cache[i] = tuple(map(tuple, columns))
+        columns = g._paths_cache[i] = tuple(
+            (tuple(records), sorted({r[4] for r in records})) for records in columns
+        )
     return columns
 
 
-def _row_column_paths(g: CauchonGraph, i: int, j: int) -> tuple:
-    """(path, vertex set, q-exponent, key, largest reflected-L turn or
-    (0, 0)) for every path row i -> column j, in lexicographic order of the
-    vertex sequences."""
-    if not 1 <= i <= g.shape.m or not 1 <= j <= g.shape.n:
-        raise ValueError("row or column index out of range")
-    return _row_paths(g, i)[j - 1]
-
-
-def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
-    """All paths from row vertex i to column vertex j whose reflected-L turns
-    sit at coordinates <= the t-th smallest coordinate, in lexicographic
-    order of their vertex sequences.
-
-    Read off the row i -> column j path list and cached on the graph per
-    (threshold coordinate, i, j); thresholds that select the same paths
-    share one family object.
-    """
-    rs = g.shape.threshold_coord(t)
-    fam = g._gamma_cache.get((rs, i, j))
+def _family(g: CauchonGraph, i: int, j: int, rs: Coord) -> _Family:
+    """gamma(t; i, j) at the threshold coordinate rs = (r, s) of t: the
+    paths row i -> column j whose bound is at most rs.  Thresholds that
+    select the same paths share one family, cached on the graph under
+    (i, j, the largest bound at or below rs)."""
+    records, bounds = _row_paths(g, i)[j - 1]
+    k = bisect_right(bounds, rs)
+    bound = bounds[k - 1] if k else None
+    fam = g._family_cache.get((i, j, bound))
     if fam is None:
-        # the members are the paths whose bound is at most this one
-        bounds = g._bounds_cache.get((i, j))
-        if bounds is None:
-            records = _row_column_paths(g, i, j)
-            bounds = g._bounds_cache[i, j] = sorted({r[4] for r in records})
-        k = bisect_right(bounds, rs)
-        bound = bounds[k - 1] if k else None
-        fam = g._family_cache.get((i, j, bound))
-        if fam is None:
-            members = [r for r in _row_column_paths(g, i, j) if r[4] <= rs]
-            # every path weight is +q^c t^N, so no sum of them cancels to zero
-            weights: dict = {}
-            for _path, _vset, qexp, mono, _bound in members:
-                parts = weights.setdefault(mono, {})
-                parts[qexp] = parts.get(qexp, 0) + 1
-            fam = g._family_cache[(i, j, bound)] = _Family(r[0] for r in members)
-            fam.shape = g.shape
-            fam.key = (i, j, bound)
-            fam.vertex_sets = tuple(r[1] for r in members)
-            fam.records = members
-            fam.weights = weights
-        g._gamma_cache[(rs, i, j)] = fam
+        members = [r for r in records if r[4] <= rs]
+        # every path weight is +q^c t^N, so no sum of them cancels to zero
+        weights: dict = {}
+        for _path, _vset, qexp, mono, _bound in members:
+            parts = weights.setdefault(mono, {})
+            parts[qexp] = parts.get(qexp, 0) + 1
+        fam = g._family_cache[(i, j, bound)] = _Family(r[0] for r in members)
+        fam.shape = g.shape
+        fam.key = (i, j, bound)
+        fam.vertex_sets = tuple(r[1] for r in members)
+        fam.records = members
+        fam.weights = weights
     return fam
 
 
 def family_grid(g: CauchonGraph, t: int) -> tuple:
-    """The families `enumerate_gamma` returns at threshold t for every
-    (i, j), as m rows of n.  Cached on the graph per threshold coordinate.
+    """The families gamma(t; i, j) for every (i, j), as m rows of n.
+    Cached on the graph per threshold coordinate.
     """
     rs = g.shape.threshold_coord(t)
     rows = g._grid_cache.get(rs)
     if rows is None:
         cols = range(1, g.shape.n + 1)
         rows = g._grid_cache[rs] = tuple(
-            tuple([enumerate_gamma(g, t, i, j) for j in cols])
+            tuple([_family(g, i, j, rs) for j in cols])
             for i in range(1, g.shape.m + 1)
         )
     return rows
+
+
+def _picked(g: CauchonGraph, t: int, I, J) -> list:
+    """The families gamma(t; I[r], J[r]) of the equal-length, nonempty
+    index sequences I and J, read off the threshold's family grid."""
+    I = tuple(I)
+    J = tuple(J)
+    if len(I) != len(J) or not I:
+        raise ValueError("row and column index sets must match and be nonempty")
+    if min(I) < 1 or max(I) > g.shape.m or min(J) < 1 or max(J) > g.shape.n:
+        raise ValueError("row or column index out of range")
+    rows = family_grid(g, t)
+    return [rows[i - 1][j - 1] for i, j in zip(I, J)]
+
+
+def enumerate_gamma(g: CauchonGraph, t: int, i: int, j: int):
+    """All paths from row vertex i to column vertex j whose reflected-L turns
+    sit at coordinates <= the t-th smallest coordinate, in lexicographic
+    order of their vertex sequences: entry (i, j) of the family grid at t.
+    """
+    return _picked(g, t, (i,), (j,))[0]
 
 
 def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
@@ -500,7 +503,7 @@ def generator(g: CauchonGraph, t: int, i: int, j: int) -> TorusElement:
     The returned element is shared through the graph's cache, so callers
     must not mutate its terms.
     """
-    return enumerate_gamma(g, t, i, j).generator
+    return _picked(g, t, (i,), (j,))[0].generator
 
 
 def generator_matrix(g: CauchonGraph, t: int) -> tuple:
@@ -543,13 +546,7 @@ def enumerate_vdps(g: CauchonGraph, t: int, I, J):
     threshold that selects them, and carries their weight sum (see
     `_Systems`).
     """
-    I = tuple(I)
-    J = tuple(J)
-    if len(I) != len(J):
-        raise ValueError("row and column index sets must have equal size")
-    if not I:
-        raise ValueError("index sets must be nonempty")
-    choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
+    choices = _picked(g, t, I, J)
     key = tuple(fam.key for fam in choices)
     systems = g._systems_cache.get(key)
     if systems is None:
@@ -579,11 +576,7 @@ def _disjoint_systems(choices, idx, used, acc, out) -> None:
 def vdps_exists(g: CauchonGraph, t: int, I, J) -> bool:
     """Early-exit variant of enumerate_vdps; systems already enumerated for
     the same families answer without a search."""
-    I = tuple(I)
-    J = tuple(J)
-    if len(I) != len(J) or not I:
-        raise ValueError("row and column index sets must match and be nonempty")
-    choices = [enumerate_gamma(g, t, i, j) for i, j in zip(I, J)]
+    choices = _picked(g, t, I, J)
     systems = g._systems_cache.get(tuple(fam.key for fam in choices))
     if systems is not None:
         return bool(systems)

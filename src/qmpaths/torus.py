@@ -64,9 +64,12 @@ class Shape:
 
     def threshold_coord(self, t: int) -> Coord:
         """The t-th smallest coordinate, t in [mn], read from a table built
-        on first use."""
-        if t.__class__ is bool:
-            raise TypeError("threshold must be an integer, not bool")
+        on first use.  Only an int is a threshold: a bool, float or Fraction
+        equal to one would pass the lookup and end up in JSON output."""
+        if t.__class__ is not int:
+            raise TypeError(
+                f"threshold must be an integer, not {t.__class__.__name__}"
+            )
         rs = self._threshold_coords.get(t)
         if rs is None:
             raise ValueError(f"threshold {t} outside [1, {self.mn}]")

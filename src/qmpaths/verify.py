@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, count, islice
 
 from .coeff import LAM, q_power
-from .torus import Shape, TorusElement, add_parts, mono_key, parts_mul
+from .torus import Shape, add_parts, mono_key, parts_mul
 from .straighten import QmPoly
 from .cauchon import (
     Diagram,
@@ -48,6 +48,7 @@ from .minors import (
     MinorSpec,
     dd_backward,
     dd_forward,
+    lindstrom_eval,
     minor_poly,
     sigma,
 )
@@ -454,24 +455,17 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
 # suite: path evaluation of minors
 
 
-def _lindstrom_holds(
-    h: HPrimeHandle, spec: MinorSpec, poly: QmPoly, distinct: dict
-) -> bool:
+def _lindstrom_holds(h: HPrimeHandle, spec: MinorSpec, poly: QmPoly) -> bool:
     """Whether sigma(poly), poly the minor `spec`, equals the weight sum of
     its vertex-disjoint path systems, vanishes exactly when there are none,
-    and whether distinct systems have distinct exponent matrices.  The last
-    is kept in `distinct` per tuple of the systems' families."""
-    via_sigma = sigma(h, poly)
+    and whether distinct systems have distinct exponent matrices."""
+    via_paths = lindstrom_eval(h, spec)
     systems = enumerate_vdps(h.graph, h.t, spec.I, spec.J)
-    via_paths = TorusElement._raw(h.shape, systems.weights)
-    families = tuple(f.key for f in systems.families)
-    if families not in distinct:
-        keys = [system_turn_key(h.graph, s) for s in systems]
-        distinct[families] = len(set(keys)) == len(keys)
+    keys = {system_turn_key(h.graph, s) for s in systems}
     return (
-        via_sigma == via_paths
+        sigma(h, poly) == via_paths
         and via_paths.is_zero() == (not systems)
-        and distinct[families]
+        and len(keys) == len(systems)
     )
 
 
@@ -482,7 +476,6 @@ def _lindstrom_of(d: Diagram, levels: list, table: _Table) -> tuple:
     per minor and content ids of its families."""
     base = HPrimeHandle(d, 1)
     content_id = table.content_ids()
-    distinct: dict = {}
     checks, failures = 0, []
     for t, checked in levels:
         h = base.at(t)
@@ -492,7 +485,7 @@ def _lindstrom_of(d: Diagram, levels: list, table: _Table) -> tuple:
             key = (n, *[ids[c] for c in cells])
             ok = table.get(key)
             if ok is None:
-                ok = table[key] = _lindstrom_holds(h, spec, poly, distinct)
+                ok = table[key] = _lindstrom_holds(h, spec, poly)
             if not ok:
                 failures.append(
                     (checks, {"diagram": d.to_inline(), "t": t, "minor": str(spec)})

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from qmpaths.cauchon import (
     path_weight,
     path_weight_by_edges,
     row_vertex,
-    _row_column_paths,
+    _row_paths,
     _turn_monomial,
     system_turn_key,
     system_weight,
@@ -33,8 +34,8 @@ from qmpaths.cauchon import (
     vdps_supremum,
     white_vertex,
 )
-from qmpaths.minors import HPrimeHandle
-from qmpaths.straighten import Threshold
+from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly
+from qmpaths.straighten import QmPoly, Threshold
 
 from oracles import (
     enumerate_paths_between,
@@ -277,20 +278,26 @@ def test_row_search_equals_path_oracle():
                 turns = path_turns(g, path)
                 bound = max((c for c, k in turns if k == "mirror"), default=(0, 0))
                 want.append((path, frozenset(path), *_turn_monomial(turns), bound))
-            assert _row_column_paths(g, i, j) == tuple(want)
+            records, bounds = _row_paths(g, i)[j - 1]
+            assert records == tuple(want)
+            assert bounds == sorted({r[4] for r in want})
             count += len(want)
     assert count == 13143
     g = build_graph(Diagram.all_white(Shape(2, 3)))
     for i, j in [(0, 1), (3, 1), (1, 0), (1, 4)]:
         with pytest.raises(ValueError, match="out of range"):
-            _row_column_paths(g, i, j)
+            enumerate_gamma(g, 6, i, j)
+        with pytest.raises(ValueError, match="out of range"):
+            enumerate_vdps(g, 6, (1, i), (1, j))
 
 
 @pytest.mark.parametrize("t, error", [(True, TypeError), (False, TypeError),
+                                      (2.0, TypeError), (Fraction(3), TypeError),
                                       (0, ValueError), (17, ValueError)])
 def test_threshold_table_keeps_its_errors(grid_4x4_diagram, t, error):
     # every threshold lookup reads one table per shape; with the table
-    # built, bool is still refused and so is a threshold outside [1, mn]
+    # built, a threshold that is not an int (bool, or a float or Fraction
+    # equal to one) is still refused, and so is one outside [1, mn]
     sh = grid_4x4_diagram.shape
     h = HPrimeHandle(grid_4x4_diagram, sh.mn)
     g = h.graph
@@ -299,7 +306,11 @@ def test_threshold_table_keeps_its_errors(grid_4x4_diagram, t, error):
     calls = [
         lambda: sh.threshold_coord(t),
         lambda: Threshold.of(sh, t),
+        lambda: QmPoly(sh, t, {}),
+        lambda: QmPoly.generator(sh, t, (1, 1)),
+        lambda: HPrimeHandle(grid_4x4_diagram, t),
         lambda: h.at(t),
+        lambda: minor_poly(sh, t, MinorSpec.of((1,), (1,))),
         lambda: enumerate_gamma(g, t, 1, 2),
         lambda: enumerate_vdps(g, t, (1, 2), (2, 3)),
         lambda: vdps_exists(g, t, (1, 2), (2, 3)),
@@ -307,7 +318,7 @@ def test_threshold_table_keeps_its_errors(grid_4x4_diagram, t, error):
     for call in calls:
         with pytest.raises(error):
             call()
-    assert (True, 1, 2) not in g._gamma_cache
+    assert list(g._grid_cache) == [(1, 1)]
 
 
 def test_gamma_canonical_order(grid_4x4_diagram):
@@ -880,7 +891,7 @@ def test_export_dot_empty_row():
 def test_family_monomials_built_only_for_path_systems(grid_4x4_diagram):
     # sigma reads a family's weight sum only; the per-path weight monomials
     # are built when a path-system weight sum needs them
-    from qmpaths.minors import MinorSpec, minor_poly, sigma
+    from qmpaths.minors import sigma
 
     handle = HPrimeHandle(grid_4x4_diagram, 16)
     sigma(handle, minor_poly(handle.shape, 16, MinorSpec.of((3, 4), (3, 4))))

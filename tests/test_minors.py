@@ -507,17 +507,17 @@ def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
     sh = Shape(3, 3)
     h = HPrimeHandle(Diagram.all_white(sh), sh.mn)
     seen, inverted = [], []
-    select, invert = cauchon.enumerate_gamma, TorusElement.inverse
+    select, invert = cauchon._family, TorusElement.inverse
 
-    def counting(g, t, i, j):
+    def counting(g, i, j, rs):
         seen.append((i, j))
-        return select(g, t, i, j)
+        return select(g, i, j, rs)
 
     def counting_inverse(a):
         inverted.append(a)
         return invert(a)
 
-    monkeypatch.setattr(cauchon, "enumerate_gamma", counting)
+    monkeypatch.setattr(cauchon, "_family", counting)
     monkeypatch.setattr(TorusElement, "inverse", counting_inverse)
 
     def elements(t):

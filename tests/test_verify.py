@@ -108,20 +108,16 @@ def _select_as_at(monkeypatch, shape, t, coords, source, diagrams):
     # i, j) for (i, j) in coords comes back as at threshold source(t), for
     # the diagrams of the shape that the predicate `diagrams` picks; every
     # other family is untouched
-    select = cauchon.enumerate_gamma
+    select = cauchon._family
     rs = shape.threshold_coord(t)
+    faulty_rs = shape.threshold_coord(source(t))
 
-    def faulty(g, tt, i, j):
-        if (
-            (i, j) in coords
-            and g.shape == shape
-            and g.shape.threshold_coord(tt) == rs
-            and diagrams(g.diagram)
-        ):
-            tt = source(tt)
-        return select(g, tt, i, j)
+    def faulty(g, i, j, at):
+        if (i, j) in coords and g.shape == shape and at == rs and diagrams(g.diagram):
+            at = faulty_rs
+        return select(g, i, j, at)
 
-    monkeypatch.setattr(cauchon, "enumerate_gamma", faulty)
+    monkeypatch.setattr(cauchon, "_family", faulty)
 
 
 SHAPE_3X3 = Shape(3, 3)
@@ -425,15 +421,21 @@ def _shift_relation_q(monkeypatch):
 
 def _shift_turning_path_weights(monkeypatch):
     # every path with a reflected-L turn gets one extra factor q
-    rows = cauchon._row_column_paths
+    rows = cauchon._row_paths
 
-    def shifted(g, i, j):
+    def shifted(g, i):
         return tuple(
-            (p, vs, qexp + (bound != (0, 0)), key, bound)
-            for p, vs, qexp, key, bound in rows(g, i, j)
+            (
+                tuple(
+                    (p, vs, qexp + (bound != (0, 0)), key, bound)
+                    for p, vs, qexp, key, bound in records
+                ),
+                bounds,
+            )
+            for records, bounds in rows(g, i)
         )
 
-    monkeypatch.setattr(cauchon, "_row_column_paths", shifted)
+    monkeypatch.setattr(cauchon, "_row_paths", shifted)
 
 
 @pytest.mark.parametrize("mutate", [_shift_relation_q, _shift_turning_path_weights])
