@@ -20,7 +20,10 @@ every row-i-to-column-j path, so each family is a filter over one search
 from row vertex i that records, per path, its weight monomial and its
 largest vertical-to-horizontal turn.  The m x n families at one threshold
 form its family grid (`family_grid`), the one way to reach a family, which
-the evaluation, the kernel sweep and the verify suites all read.
+the evaluation, the kernel sweep and the verify suites all read.  A family
+changes from t - 1 to t only when the t-th smallest coordinate is the
+largest reflected-L turn of one of its paths, so grid t is built from a
+cached grid t - 1 by selecting only those entries again.
 """
 
 from __future__ import annotations
@@ -436,12 +439,13 @@ def _row_paths(g: CauchonGraph, i: int) -> tuple:
     return columns
 
 
-def _family(g: CauchonGraph, i: int, j: int, rs: Coord) -> _Family:
+def _family(g: CauchonGraph, i: int, j: int, rs: Coord, column: tuple) -> _Family:
     """gamma(t; i, j) at the threshold coordinate rs = (r, s) of t: the
-    paths row i -> column j whose bound is at most rs.  Thresholds that
-    select the same paths share one family, cached on the graph under
-    (i, j, the largest bound at or below rs)."""
-    records, bounds = _row_paths(g, i)[j - 1]
+    paths row i -> column j whose bound is at most rs, selected from
+    `column`, the (records, bounds) that `_row_paths` lists for (i, j).
+    Thresholds that select the same paths share one family, cached on the
+    graph under (i, j, the largest bound at or below rs)."""
+    records, bounds = column
     k = bisect_right(bounds, rs)
     bound = bounds[k - 1] if k else None
     fam = g._family_cache.get((i, j, bound))
@@ -464,16 +468,46 @@ def _family(g: CauchonGraph, i: int, j: int, rs: Coord) -> _Family:
 def family_grid(g: CauchonGraph, t: int) -> tuple:
     """The families gamma(t; i, j) for every (i, j), as m rows of n.
     Cached on the graph per threshold coordinate.
+
+    A family changes from t - 1 to t only when its bound list holds the
+    threshold coordinate of t.  So when grid t - 1 is cached, grid t is
+    that grid with only those entries selected again; it shares the rows
+    that keep their families and, when no family changes, is the grid
+    t - 1 object itself.  With grid t - 1 cached, `family_grid(g, t) is
+    family_grid(g, t - 1)` exactly when the two thresholds select the
+    same families.
     """
-    rs = g.shape.threshold_coord(t)
+    shape = g.shape
+    rs = shape.threshold_coord(t)
     rows = g._grid_cache.get(rs)
     if rows is None:
-        cols = range(1, g.shape.n + 1)
-        rows = g._grid_cache[rs] = tuple(
-            tuple([_family(g, i, j, rs) for j in cols])
-            for i in range(1, g.shape.m + 1)
-        )
+        below = g._grid_cache.get(shape.threshold_coord(t - 1)) if t > 1 else None
+        rows = g._grid_cache[rs] = _grid(g, rs, below)
     return rows
+
+
+def _grid(g: CauchonGraph, rs: Coord, below) -> tuple:
+    """The family grid at the threshold coordinate rs, every entry selected;
+    or, given the grid `below` of the threshold before rs, that grid with
+    the entries selected again whose bound list holds rs.  Each row's path
+    records are read once."""
+    rows, changed = [], below is None
+    for i in range(1, g.shape.m + 1):
+        columns = _row_paths(g, i)
+        if below is None:
+            rows.append(tuple([
+                _family(g, i, j, rs, column) for j, column in enumerate(columns, 1)
+            ]))
+            continue
+        row = below[i - 1]
+        fresh = [j for j, (_records, bounds) in enumerate(columns, 1) if rs in bounds]
+        if fresh:
+            row, changed = list(row), True
+            for j in fresh:
+                row[j - 1] = _family(g, i, j, rs, columns[j - 1])
+            row = tuple(row)
+        rows.append(row)
+    return tuple(rows) if changed else below
 
 
 def _picked(g: CauchonGraph, t: int, I, J) -> list:

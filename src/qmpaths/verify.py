@@ -20,6 +20,17 @@ each sweep process keeps one table per shape (`_Table`) that interns every
 family's content to a small id and holds the decisions keyed by the ids of
 the families each check reads.  Every diagram and threshold still counts
 and reports its own checks from those decisions.
+
+The families are nested in t and change only where the threshold passes
+one of their paths' reflected-L turns, so consecutive levels of a diagram
+nearly always read the same grid (up to 3x3, 220 of the 2,342 steps from
+one level to the next change a family).  Each suite walks a diagram's
+levels in order (`_levels`), carrying the previous level's grid, content
+ids and verdicts: at a level whose grid is unchanged, relations and
+lindstrom look up only the checks whose key is new there, and ddalg, whose
+keys hold t, builds its keys from the ids carried over.  A key is still
+decided once per shape table, so the decisions, check counts and reports
+are those of a walk that looks up every check at every level.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, count, islice
+from operator import itemgetter
 
 from .coeff import LAM, q_power
 from .torus import Shape, add_parts, mono_key, parts_mul
@@ -297,6 +309,24 @@ def _per_diagram(task, shapes: list, tabled: bool = False):
     return items
 
 
+def _levels(g, table: _Table):
+    """The level walk of one diagram's graph, every threshold t in order:
+    (t, grid, ids, changed), with the family grid at t, the content ids of
+    its families in row-major order, and whether the grid is another
+    object than at t - 1 (always at t = 1).  A grid that keeps its
+    families is the object of the level before (see `family_grid`), so an
+    unchanged level keeps the ids of the level before, and a suite can keep
+    the verdict of every check whose key is unchanged."""
+    content_id = table.content_ids()
+    grid = ids = None
+    for t in range(1, g.shape.mn + 1):
+        X = family_grid(g, t)
+        changed = X is not grid
+        if changed:
+            grid, ids = X, [content_id(fam) for row in X for fam in row]
+        yield t, X, ids, changed
+
+
 def _sweep(report: Report, items) -> None:
     """Replays into the report task(*args) for every (task, *args) item
     that the zero-argument callable `items` streams, in stream order.
@@ -371,14 +401,16 @@ def _ad_relation(mul, a, b, c, dd, commuting: bool) -> bool:
     return mul(a, dd) == rhs
 
 
-def _relations_of(d: Diagram, subs: list, table: _Table) -> tuple:
-    """The relations of every 2x2 submatrix in `subs` at every threshold,
+def _relations_of(d: Diagram, subs: list, flips: dict, table: _Table) -> tuple:
+    """The relations of every 2x2 submatrix in `subs`, each (i, j, k, l)
+    with the row-major indices of its four families, at every threshold,
     for one diagram.  `table` holds the decisions of the shape's diagrams,
     per content ids of a submatrix's four families (and, for ad, per
-    branch)."""
+    branch).  A level whose grid is unchanged keeps the verdicts of the
+    level before and looks up only the submatrices whose ad branch flips
+    there, `flips[rs]`: those cornered at the threshold coordinate."""
     shape = d.shape
     g = build_graph(d)
-    content_id = table.content_ids()
     products: dict = {}
 
     def mul(u, v):
@@ -387,36 +419,37 @@ def _relations_of(d: Diagram, subs: list, table: _Table) -> tuple:
             p = products[u.key, v.key] = parts_mul(u.weights, v.weights)
         return p
 
+    held = [None] * len(subs)  # per submatrix, its relations at the level
+    ok = [False] * len(subs)  # per submatrix, whether all of them hold
     checks, failures = 0, []
-    for t in range(1, shape.mn + 1):
+    for t, X, ids, changed in _levels(g, table):
         rs = shape.threshold_coord(t)
-        X = family_grid(g, t)
-        ids = [[content_id(fam) for fam in row] for row in X]
-        for sub in subs:
-            i, j, k, l = sub
+        for n in range(len(subs)) if changed else flips.get(rs, ()):
+            (i, j, k, l), cells = subs[n]
             commuting = (k, l) > rs
-            quad = (ids[i - 1][j - 1], ids[i - 1][l - 1],
-                    ids[k - 1][j - 1], ids[k - 1][l - 1])
+            quad = tuple([ids[c] for c in cells])
             fixed = table.get(quad)
             ad = table.get((*quad, commuting))
             if fixed is None or ad is None:
-                fams = (X[i - 1][j - 1], X[i - 1][l - 1],
-                        X[k - 1][j - 1], X[k - 1][l - 1])
+                fams = [X[c // shape.n][c % shape.n] for c in cells]
                 if fixed is None:
                     fixed = table[quad] = _fixed_relations(mul, *fams)
                 if ad is None:
                     ad = table[(*quad, commuting)] = _ad_relation(mul, *fams, commuting)
-            if ad and all(fixed):
-                checks += 6
-                continue
-            names = _COMMUTING if commuting else _LAMBDA
-            for name, ok in zip(names, (*fixed, ad)):
+            held[n] = (*fixed, ad)
+            ok[n] = ad and all(fixed)
+        if False not in ok:
+            checks += 6 * len(subs)
+            continue
+        for (sub, _cells), relations in zip(subs, held):
+            names = _COMMUTING if sub[2:] > rs else _LAMBDA
+            for name, holds in zip(names, relations):
                 checks += 1
-                if not ok:
+                if not holds:
                     failures.append((checks, {
                         "diagram": d.to_inline(),
                         "t": t,
-                        "submatrix": [i, j, k, l],
+                        "submatrix": list(sub),
                         "relation": name,
                     }))
     return checks, failures
@@ -432,20 +465,27 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
     So each relation is decided once per shape for each distinct content of
     the four families (`_Table`), the ad relation once per branch a
     threshold asks for, and every diagram and threshold counts and reports
-    from that table.  Each ordered product of two families is formed at
-    most once per diagram.
+    from that table.  A level whose grid is the previous level's keeps that
+    level's verdicts and looks up only the ad relation of the submatrices
+    cornered at its threshold coordinate, whose branch flips there; after a
+    grid change it looks up every relation.  Each ordered product of two
+    families is formed at most once per diagram.
     """
     report = Report("relations", {"max": [max_m, max_n]})
 
     def body(report):
-        shapes = []  # (shape, its 2x2 submatrices)
+        shapes = []  # (shape, its 2x2 submatrices, those per corner)
         for shape in _shapes(max_m, max_n):
             rows, cols = range(1, shape.m + 1), range(1, shape.n + 1)
-            shapes.append((shape, [
-                (i, j, k, l)
-                for i, k in combinations(rows, 2)
-                for j, l in combinations(cols, 2)
-            ]))
+            subs, flips = [], {}
+            for i, k in combinations(rows, 2):
+                for j, l in combinations(cols, 2):
+                    flips.setdefault((k, l), []).append(len(subs))
+                    subs.append(((i, j, k, l), [
+                        (a - 1) * shape.n + b - 1
+                        for a, b in ((i, j), (i, l), (k, j), (k, l))
+                    ]))
+            shapes.append((shape, subs, flips))
         _sweep(report, _per_diagram(_relations_of, shapes, tabled=True))
 
     return _run(report, body)
@@ -471,25 +511,29 @@ def _lindstrom_holds(h: HPrimeHandle, spec: MinorSpec, poly: QmPoly) -> bool:
 
 def _lindstrom_of(d: Diagram, levels: list, table: _Table) -> tuple:
     """Every minor of `levels` (per threshold, the minors it checks with
-    their polynomials and the row-major indices of their k x k families)
-    for one diagram.  `table` holds the decisions of the shape's diagrams,
-    per minor and content ids of its families."""
+    their polynomials and the row-major indices of their k x k families,
+    and of those the minors new at the threshold) for one diagram.
+    `table` holds the decisions of the shape's diagrams, per minor and
+    content ids of its families.  A level whose grid is unchanged keeps the
+    verdicts of the level before and looks up only its new minors."""
     base = HPrimeHandle(d, 1)
-    content_id = table.content_ids()
+    held: dict = {}  # per minor number, whether it holds at the level
     checks, failures = 0, []
-    for t, checked in levels:
-        h = base.at(t)
-        ids = [content_id(fam) for row in family_grid(h.graph, t) for fam in row]
-        for n, spec, poly, cells in checked:
-            checks += 1
+    walk = _levels(base.graph, table)
+    for (t, checked, new), (_t, _grid, ids, changed) in zip(levels, walk):
+        for n, spec, poly, cells in checked if changed else new:
             key = (n, *[ids[c] for c in cells])
             ok = table.get(key)
             if ok is None:
-                ok = table[key] = _lindstrom_holds(h, spec, poly)
-            if not ok:
-                failures.append(
-                    (checks, {"diagram": d.to_inline(), "t": t, "minor": str(spec)})
-                )
+                ok = table[key] = _lindstrom_holds(base.at(t), spec, poly)
+            held[n] = ok
+        if False in held.values():
+            for done, (n, spec, _poly, _cells) in enumerate(checked, checks + 1):
+                if not held[n]:
+                    failures.append(
+                        (done, {"diagram": d.to_inline(), "t": t, "minor": str(spec)})
+                    )
+        checks += len(checked)
     return checks, failures
 
 
@@ -502,7 +546,10 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     Sigma reads the images of all k x k families (I_r, J_s) of the minor,
     and the path systems the diagonal ones, so each minor is decided once
     per shape for each distinct content of those families (`_Table`), and
-    every diagram and threshold counts and reports from the decision.  The
+    every diagram and threshold counts and reports from the decision.  A
+    level whose grid is the previous level's keeps that level's verdicts
+    and looks up only the minors whose maximum coordinate is its threshold
+    coordinate; after a grid change it looks up every minor it checks.  The
     minors' polynomials are looked up once per shape and threshold, before
     the sweep.
     """
@@ -521,14 +568,17 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
                 tuple((i - 1) * shape.n + j - 1 for i in spec.I for j in spec.J)
                 for spec in specs
             ]
-            shapes.append((shape, [
-                (t, [
+            levels = []
+            for t in range(1, shape.mn + 1):
+                rs = shape.threshold_coord(t)
+                checked = [
                     (n, spec, minor_poly(shape, t, spec), cells[n])
                     for n, spec in enumerate(specs)
-                    if spec.max_coord <= shape.threshold_coord(t)
-                ])
-                for t in range(1, shape.mn + 1)
-            ]))
+                    if spec.max_coord <= rs
+                ]
+                new = [c for c in checked if c[1].max_coord == rs]
+                levels.append((t, checked, new))
+            shapes.append((shape, levels))
         _sweep(report, _per_diagram(_lindstrom_of, shapes, tabled=True))
 
     return _run(report, body)
@@ -570,47 +620,60 @@ def _roundtrips_of(shape: Shape, samples: int, seed: int) -> tuple:
     return checks, failures
 
 
-def _ddalg_of(d: Diagram, images: dict, table: _Table) -> tuple:
+def _ddalg_of(d: Diagram, levels: dict, images: dict, table: _Table) -> tuple:
     """The exact generator identities in the torus, and the compatibility
     of the evaluation maps across one level, at every threshold of one
-    diagram.  `images` caches (t, coord) -> (y_coord at t-1, its forward
-    image) for the diagram's shape.  `table` holds the checks of a
+    diagram.  `levels` picks the families each check reads (see
+    `_ddalg_levels`).  `images` caches (t, coord) -> (y_coord at t-1, its
+    forward image) for the diagram's shape.  `table` holds the checks of a
     coordinate across a level for the shape's diagrams, per (t, i, j,
-    whether the threshold coordinate is black) and content ids of the
-    families they read at both levels: (i, j), and in the northwest case
-    (i, s), (r, j) and (r, s)."""
+    whether the threshold coordinate is black) and the content ids of the
+    families they read at both levels, those of the level before carried
+    from it."""
     shape = d.shape
     base = HPrimeHandle(d, 1)
-    g = base.graph
-    content_id = table.content_ids()
-
-    def grid_ids(t):
-        return [[content_id(fam) for fam in row] for row in family_grid(g, t)]
-
     checks, failures = 0, []
-    hi_ids = grid_ids(1)
-    for t in range(2, shape.mn + 1):
-        r, s = rs = shape.threshold_coord(t)
-        in_b = d.is_black(rs)
-        hi, lo = family_grid(g, t), family_grid(g, t - 1)
-        lo_ids, hi_ids = hi_ids, grid_ids(t)
-        for (i, j) in shape.coords():
-            nw = not in_b and i < r and j < s
-            cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
-            key = (t, i, j, in_b, *[hi_ids[a - 1][b - 1] for a, b in cells],
-                   *[lo_ids[a - 1][b - 1] for a, b in cells])
-            held = table.get(key)
-            if held is None:
-                held = table[key] = _level_checks(
-                    base, t, i, j, in_b, hi, lo, images
-                )
-            for kind, ok in held:
-                checks += 1
-                if not ok:
-                    failures.append((checks, {
-                        "kind": kind, "diagram": d.to_inline(), "t": t, "coord": [i, j],
-                    }))
+    lo = lo_ids = None
+    for t, hi, hi_ids, _changed in _levels(base.graph, table):
+        if lo is not None:
+            in_b = d.is_black(shape.threshold_coord(t))
+            for i, j, pick in levels[t, in_b]:
+                key = (t, i, j, in_b, pick(hi_ids), pick(lo_ids))
+                held = table.get(key)
+                if held is None:
+                    held = table[key] = _level_checks(
+                        base, t, i, j, in_b, hi, lo, images
+                    )
+                for kind, ok in held:
+                    checks += 1
+                    if not ok:
+                        failures.append((checks, {
+                            "kind": kind, "diagram": d.to_inline(), "t": t, "coord": [i, j],
+                        }))
+        lo, lo_ids = hi, hi_ids
     return checks, failures
+
+
+def _ddalg_levels(shape: Shape) -> dict:
+    """Per threshold t > 1 and whether its coordinate (r, s) is black, the
+    coordinates (i, j) in order, each with an itemgetter of the row-major
+    indices of the families its checks read: (i, j), and in the northwest
+    case (white (r, s), i < r and j < s) also (i, s), (r, j) and (r, s)."""
+    levels = {}
+    for t in range(2, shape.mn + 1):
+        r, s = shape.threshold_coord(t)
+        for in_b in (False, True):
+            levels[t, in_b] = [
+                (i, j, itemgetter(*[
+                    (a - 1) * shape.n + b - 1
+                    for a, b in (
+                        ((i, j), (i, s), (r, j), (r, s))
+                        if not in_b and i < r and j < s else ((i, j),)
+                    )
+                ]))
+                for i, j in shape.coords()
+            ]
+    return levels
 
 
 def _level_checks(base, t, i, j, in_b, hi, lo, images) -> tuple:
@@ -658,7 +721,9 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     in the northwest case, those of (i, s), (r, j) and (r, s)) at both
     levels, so they are decided once per shape for each distinct content
     of those families (`_Table`), and every diagram counts and reports from
-    the decision.
+    the decision.  The keys hold t, so every level looks up each of its
+    checks; the ids of level t - 1 are carried from the level before, and
+    each key is picked from the ids by one `itemgetter` per coordinate.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -669,10 +734,11 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     def items():
         for shape in _shapes(max_m, max_n):
             yield _roundtrips_of, shape, samples, seed
-            # what the shape's diagrams share: forward images and decisions
-            images, table = {}, _Table()
+            # what the shape's diagrams share: the families each check
+            # reads, forward images and decisions
+            levels, images, table = _ddalg_levels(shape), {}, _Table()
             for d in enumerate_cauchon_diagrams(shape):
-                yield _ddalg_of, d, images, table
+                yield _ddalg_of, d, levels, images, table
 
     return _run(report, lambda report: _sweep(report, items))
 

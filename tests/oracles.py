@@ -9,15 +9,18 @@ quantum minor, divisibility through a dense lookup, the paths between two
 vertices by a DFS that extends every partial path (one search per pair of
 ends; the library searches once per row), a restricted path
 family grown by a DFS that refuses each reflected-L turn past the threshold as
-it is taken, the supremum and infimum of a path-system family as a fold of
-segment-by-segment path combinations over every system, the derivation
+it is taken, the family grid selected entry by entry at each threshold (the
+library builds it from the grid one threshold below), the supremum and
+infimum of a path-system family as a fold of segment-by-segment path
+combinations over every system, the derivation
 maps through a table of all mn generator images, straightening as a walk
 of the word rewrite tree that swaps one adjacent descent at a time, the
 polynomial product as that walk per pair of terms, and the path evaluation
 as a product of TorusElements per term.  Apart from the TorusElement
 product that last one uses (itself checked against the transposition
-oracle) and the system enumeration the path-system fold runs over, none of
-it shares code with the library paths it validates.
+oracle), the system enumeration the path-system fold runs over and the
+entry selection (`cauchon._family`) the grid oracle calls, none of it
+shares code with the library paths it validates.
 
 The relations suite's oracle is its former body, on TorusElement
 products; the lindstrom suite's is its former body, which decides every
@@ -49,6 +52,8 @@ from itertools import combinations, permutations, product
 
 from qmpaths.cauchon import (
     Diagram,
+    _family,
+    _row_paths,
     build_graph,
     enumerate_cauchon_diagrams,
     enumerate_vdps,
@@ -240,6 +245,17 @@ def oracle_gamma(g, t, i, j):
                     continue
             stack.append(path + (w,))
     return tuple(paths)
+
+
+def oracle_family_grid(g, t):
+    """The family grid at threshold t from scratch: every entry selected
+    by `cauchon._family` from its row's path records, whatever grids the
+    graph holds."""
+    rs = g.shape.threshold_coord(t)
+    return tuple(
+        tuple(_family(g, i, j, rs, column) for j, column in enumerate(_row_paths(g, i), 1))
+        for i in range(1, g.shape.m + 1)
+    )
 
 
 def enumerate_paths_between(g, src, dst):

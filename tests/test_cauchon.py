@@ -8,6 +8,7 @@ import pytest
 
 from qmpaths.coeff import q_power
 from qmpaths.torus import Shape, TorusElement, mono_key, t_gen
+from qmpaths import cauchon
 from qmpaths.cauchon import (
     Diagram,
     build_graph,
@@ -41,6 +42,7 @@ from oracles import (
     enumerate_paths_between,
     oracle_all_cauchon_sets,
     oracle_enumerate_cauchon_diagrams,
+    oracle_family_grid,
     oracle_gamma,
     oracle_path_in_gamma,
     oracle_path_l,
@@ -441,6 +443,69 @@ def test_families_shared_across_thresholds():
     assert lookups == 22166
     assert objects == 3020
     assert grids == 556
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_family_grid_equals_from_scratch_oracle(order):
+    # every diagram up to 3x3 and of 2x4 and 4x2, its thresholds visited in
+    # the given order: each grid holds the families selected from scratch
+    # (built on a second graph of the diagram), and where grid t - 1 was
+    # built first, grid t is that object exactly when no (i, j) bound list
+    # holds the threshold coordinate of t, and shares every row whose bound
+    # lists do not hold it
+    rng = random.Random(25)
+    steps = changed = 0
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
+        sh = Shape(m, n)
+        for d in enumerate_cauchon_diagrams(sh):
+            g, scratch = build_graph(d), build_graph(d)
+            ts = list(range(1, sh.mn + 1))
+            if order == "descending":
+                ts.reverse()
+            elif order == "shuffled":
+                rng.shuffle(ts)
+            for t in ts:
+                rows = family_grid(g, t)
+                want = oracle_family_grid(scratch, t)
+                for row, want_row in zip(rows, want, strict=True):
+                    for fam, other in zip(row, want_row, strict=True):
+                        assert fam.key == other.key and fam == other
+                        assert fam.records == other.records
+                        assert fam.weights == other.weights
+                assert family_grid(g, t) is rows
+                if t == 1 or sh.threshold_coord(t - 1) not in g._grid_cache:
+                    continue
+                below, rs = family_grid(g, t - 1), sh.threshold_coord(t)
+                held = [
+                    any(rs in bounds for _records, bounds in _row_paths(g, i))
+                    for i in range(1, m + 1)
+                ]
+                assert (rows is below) == (not any(held))
+                assert all((a is b) == (not h) for a, b, h in zip(rows, below, held))
+                steps += 1
+                changed += any(held)
+    if order == "ascending":
+        # up to 3x3: 220 of the 2,342 steps; 2x4 and 4x2: 172 of the 2,044
+        assert (steps, changed) == (4386, 392)
+
+
+def test_fresh_top_grid_reads_each_row_once(monkeypatch):
+    # a grid built from scratch, or from the grid one threshold below, reads
+    # each row's path records once, not once per entry
+    read = []
+    rows = cauchon._row_paths
+    monkeypatch.setattr(cauchon, "_row_paths", lambda g, i: read.append(i) or rows(g, i))
+    for text in ["..../..../....", "#.../..../....", "##../#.../....", "#../#../.../..."]:
+        d = Diagram.from_text(text)
+        m, mn = d.shape.m, d.shape.mn
+        g = build_graph(d)
+        read.clear()
+        family_grid(g, mn)
+        assert read == list(range(1, m + 1))
+        read.clear()
+        for t in range(1, mn):
+            family_grid(g, t)
+        assert read == list(range(1, m + 1)) * (mn - 1)
 
 
 def test_generator_built_on_first_read():

@@ -509,9 +509,9 @@ def test_sigma_looks_up_each_family_once_per_call(monkeypatch):
     seen, inverted = [], []
     select, invert = cauchon._family, TorusElement.inverse
 
-    def counting(g, i, j, rs):
+    def counting(g, i, j, rs, column):
         seen.append((i, j))
-        return select(g, i, j, rs)
+        return select(g, i, j, rs, column)
 
     def counting_inverse(a):
         inverted.append(a)

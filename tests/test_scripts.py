@@ -60,3 +60,16 @@ def test_stress_runs_flags_a_digest_mismatch(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "5x5-check" in out and "6x6-basis" in out
     assert "6x6-basis: digest mismatch" in err
+
+
+#: sha256 of `qmpaths verify all --max 3 4 --samples 6 --format json`
+VERIFY_3X4_SHA256 = "67c81e61c32cb1f79f665ad4edd9837a4d192cdb9e81a9914b02d10f3ff12e58"
+
+
+def test_stress_runs_verify_3x4_matches_digest():
+    # every suite on every shape up to 3x4, with its long shapes 2x4 and
+    # 3x4, in a fresh interpreter; a few seconds
+    stress = _stress_runs()
+    result = stress.run_worker("verify-3x4")
+    assert result is not None
+    assert result["sha256"] == stress.DIGESTS["verify-3x4"] == VERIFY_3X4_SHA256

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import oracles
-from qmpaths import cauchon, minors, verify
+from qmpaths import cauchon, groebner, minors, verify
 from qmpaths.torus import Shape
 from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
 from qmpaths.groebner import groebner_check, hprime_minors
@@ -104,20 +104,28 @@ def test_lindstrom_equal_per_threshold_oracle():
 
 
 def _select_as_at(monkeypatch, shape, t, coords, source, diagrams):
-    # a selection bug at one threshold coordinate: at threshold t, gamma(t;
-    # i, j) for (i, j) in coords comes back as at threshold source(t), for
+    # a selection bug at one threshold: the family grid at threshold t hands
+    # out gamma(t; i, j) for (i, j) in coords as at threshold source(t), for
     # the diagrams of the shape that the predicate `diagrams` picks; every
-    # other family is untouched
-    select = cauchon._family
-    rs = shape.threshold_coord(t)
-    faulty_rs = shape.threshold_coord(source(t))
+    # other entry, and the grids the graph caches, are untouched
+    grid = cauchon.family_grid
 
-    def faulty(g, i, j, at):
-        if (i, j) in coords and g.shape == shape and at == rs and diagrams(g.diagram):
-            at = faulty_rs
-        return select(g, i, j, at)
+    def faulty(g, at):
+        rows = grid(g, at)
+        if at != t or g.shape != shape or not diagrams(g.diagram):
+            return rows
+        wrong = grid(g, source(t))
+        return tuple(
+            tuple(
+                wrong[i - 1][j - 1] if (i, j) in coords else fam
+                for j, fam in enumerate(row, 1)
+            )
+            for i, row in enumerate(rows, 1)
+        )
 
-    monkeypatch.setattr(cauchon, "_family", faulty)
+    # every module that reads grids, the oracles too
+    for module in (cauchon, minors, groebner, verify, oracles):
+        monkeypatch.setattr(module, "family_grid", faulty)
 
 
 SHAPE_3X3 = Shape(3, 3)
@@ -262,6 +270,34 @@ def test_content_tables_equal_oracles_on_long_shapes(suite, bound, cpus):
     rep = run(*bound)
     assert rep.to_json() == oracle(*bound).to_json()
     assert rep.passed
+
+
+@pytest.mark.parametrize("cpus", [1], indirect=True, ids=lambda n: f"{n}cpu")
+def test_level_walk_skips_lookups_never_decisions(monkeypatch, cpus):
+    # up to 3x3 in one process: a level whose grid is unchanged reuses the
+    # verdicts of the level before, yet every check a shape's table ever
+    # held is still decided, once
+    tables, decided = [], []
+    holds = verify._lindstrom_holds
+
+    class Recorded(verify._Table):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    def counting(*args):
+        decided.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(verify, "_Table", Recorded)
+    monkeypatch.setattr(verify, "_lindstrom_holds", counting)
+    sizes = {}
+    for name, (run, _oracle) in TABLED_SUITES.items():
+        tables.clear()
+        assert run(3, 3).passed
+        sizes[name] = sum(map(len, tables))
+    assert sizes == {"relations": 2580, "lindstrom": 1399, "ddalg": 1424}
+    assert len(decided) == 1399
 
 
 def test_equal_content_ids_hold_equal_families():
