@@ -209,6 +209,8 @@ def cmd_minor(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.t is not None:
+        raise UsageError("graph: -t does not apply; the graph has no threshold")
     shape = _shape(args)
     d = _diagram(args, shape)
     dot = export_dot(build_graph(d))

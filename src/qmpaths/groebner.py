@@ -28,6 +28,7 @@ from .straighten import (
     Threshold,
     count_terms_in_grade,
     grade,
+    lex_key,
     term_divides,
     times_monomial,
 )
@@ -199,7 +200,7 @@ def _minor_element(shape: Shape, th: Threshold, spec: MinorSpec) -> BasisElement
     """The basis element of a minor: its memoized polynomial and leading
     key, taken once per memoized minor and shared by every basis."""
     poly = minor_poly(shape, th, spec)
-    return BasisElement(spec, poly, max(poly._terms, key=_lex_key))
+    return BasisElement(spec, poly, max(poly._terms, key=lex_key))
 
 
 def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
@@ -213,7 +214,7 @@ def groebner_basis(handle: HPrimeHandle, check: bool = True) -> GroebnerBasis:
     for coord in bare:
         spec = MinorSpec.of([coord[0]], [coord[1]])
         poly = QmPoly.generator(shape, t, coord)
-        lt_key = max(poly._terms, key=_lex_key)
+        lt_key = max(poly._terms, key=lex_key)
         elements.append(BasisElement(spec, poly, lt_key, bare=True))
     if check:
         for e in elements:
@@ -252,18 +253,6 @@ class ReductionStep:
     index: int
     scale: LaurentScalar
     cofactor: MonoKey
-
-
-def _lex_key(key: MonoKey) -> tuple:
-    """Sort key of a nonnegative exponent key in the matrix-lexicographic
-    term order: tuples compare like `matrix_lex_compare`, in C.
-
-    At the first coordinate where two keys differ, the one with an entry
-    there has the larger (-i, -j) triple, or the larger exponent when both
-    have one; a key that runs out first has a zero entry at the other's next
-    coordinate and is the shorter tuple.
-    """
-    return tuple([(-i, -j, e) for i, j, e in key])
 
 
 def _divisor(basis: GroebnerBasis, key: MonoKey):
@@ -318,7 +307,7 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
     work = a._terms
     steps = 0
     while work:
-        lt_key = max(work, key=_lex_key)
+        lt_key = max(work, key=lex_key)
         hit = _divisor(basis, lt_key)
         if hit is None:
             break
@@ -335,7 +324,7 @@ def reduce(a: QmPoly, basis: GroebnerBasis):
         e = basis.elements[hit]
         cof = _quotient(lt_key, e.lt_key)
         prod = times_monomial(e.poly, cof)
-        if max(prod, key=_lex_key) != lt_key:
+        if max(prod, key=lex_key) != lt_key:
             raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
         if len(prod[lt_key]) != 1:
             raise AssertionError("leading coefficient of g * x^c is not a unit (bug)")

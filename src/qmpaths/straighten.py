@@ -35,6 +35,7 @@ from .torus import (
     Shape,
     TermSum,
     add_parts,
+    check_exponents,
     mono_key,
     to_scalar,
 )
@@ -56,46 +57,30 @@ class Threshold:
 # matrix-lexicographic term order
 
 
-def matrix_lex_compare(a: MonoKey, b: MonoKey):
-    """Compare exponent matrices by their first differing coordinate.
+_END = ((1,),)
 
-    Returns (cmp, witness): cmp is -1/0/+1 for a < b / a == b / a > b in the
-    term order, witness the coordinate where they first differ (None if equal).
-    The matrix with the larger entry at the witness is the larger term.
+
+def lex_key(key: MonoKey) -> tuple:
+    """Sort key of an integer exponent key in the matrix-lexicographic term
+    order: the key with the larger entry at the first coordinate where two
+    keys differ sorts last.  Exponents may have either sign.
+
+    An entry (i, j, e) becomes (1, -i, -j, e) when e > 0 and (0, i, j, e)
+    when e < 0, and every key ends in (1,).  Tuples compare at the first
+    position where they differ, which is where the first differing
+    coordinate c is met:
+    - both keys have an entry at c: same sign, so the larger e sorts last;
+      opposite signs, so the positive one, which leads with 1, sorts last;
+    - one key has an entry e at c = (i, j), the other its next entry at a
+      later coordinate (k, l), so a zero at c: with e > 0 the first sorts
+      last, since (1, -i, -j, e) beats (1, -k, -l, ...) and every
+      (0, ...); with e < 0 it sorts first, since (0, i, j, e) loses to
+      (0, k, l, ...) and every (1, ...);
+    - one key has an entry e at c, the other has ended, so a zero at c:
+      with e > 0 its (1, -i, -j, e) sorts after the end's (1,), of which
+      it is an extension; with e < 0 its (0, i, j, e) sorts before (1,).
     """
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        ca = (a[ia][0], a[ia][1])
-        cb = (b[ib][0], b[ib][1])
-        if ca == cb:
-            if a[ia][2] != b[ib][2]:
-                return (-1 if a[ia][2] < b[ib][2] else 1), ca
-            ia += 1
-            ib += 1
-        elif ca < cb:
-            # entry of b at ca is 0
-            return (-1 if a[ia][2] < 0 else 1), ca
-        else:
-            return (1 if b[ib][2] < 0 else -1), cb
-    if ia < len(a):
-        ca = (a[ia][0], a[ia][1])
-        return (-1 if a[ia][2] < 0 else 1), ca
-    if ib < len(b):
-        cb = (b[ib][0], b[ib][1])
-        return (1 if b[ib][2] < 0 else -1), cb
-    return 0, None
-
-
-class _TermKey:
-    """Sort adapter: max(keys, key=_TermKey) picks the leading term."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: MonoKey):
-        self.k = k
-
-    def __lt__(self, other):
-        return matrix_lex_compare(self.k, other.k)[0] < 0
+    return tuple([(1, -i, -j, e) if e > 0 else (0, i, j, e) for i, j, e in key]) + _END
 
 
 def term_divides(a: MonoKey, b: MonoKey) -> bool:
@@ -354,6 +339,7 @@ class QmPoly(TermSum):
         self._set_terms(terms)
 
     def _check_key(self, key: MonoKey) -> None:
+        check_exponents(key)
         for i, j, e in key:
             self.shape.check_coord((i, j))
             if e < 0 and (i, j) != self.loc:
@@ -419,7 +405,7 @@ class QmPoly(TermSum):
         """Maximal term in the matrix-lexicographic order; error on zero."""
         if not self._terms:
             raise ValueError("the zero element has no leading term")
-        key = max(self._terms, key=_TermKey)
+        key = max(self._terms, key=lex_key)
         return key, to_scalar(self._terms[key])
 
     # -- localization ----------------------------------------------------------------

@@ -52,9 +52,14 @@ class Shape:
         return tuple(self._threshold_coords.values())
 
     def contains(self, coord: Coord) -> bool:
+        """Whether an int coordinate lies in the grid.  Any other entry,
+        a bool or a float equal to an int included, is a TypeError."""
         i, j = coord
-        if i.__class__ is bool or j.__class__ is bool:
-            raise TypeError(f"coordinate {coord}: entries must be integers, not bool")
+        if i.__class__ is not int or j.__class__ is not int:
+            bad = j if i.__class__ is int else i
+            raise TypeError(
+                f"coordinate {coord}: entries must be integers, not {bad.__class__.__name__}"
+            )
         return 1 <= i <= self.m and 1 <= j <= self.n
 
     def check_coord(self, coord: Coord) -> Coord:
@@ -164,6 +169,15 @@ def key_entry(key: MonoKey, coord: Coord) -> int:
 
 def key_in_shape(key: MonoKey, shape: Shape) -> bool:
     return all(shape.contains((i, j)) for i, j, _ in key)
+
+
+def check_exponents(key: MonoKey) -> None:
+    """TypeError unless every exponent of the key is an int (not a bool)."""
+    for i, j, e in key:
+        if e.__class__ is not int:
+            raise TypeError(
+                f"exponent at {(i, j)}: must be an integer, not {e.__class__.__name__}"
+            )
 
 
 def commutation_form(a: MonoKey, b: MonoKey) -> int:
@@ -380,6 +394,7 @@ class TorusElement(TermSum):
             raise ValueError(
                 f"key {key} outside shape {self.shape.m}x{self.shape.n}"
             )
+        check_exponents(key)
 
     def _check_mate(self, other):
         if not isinstance(other, TorusElement):

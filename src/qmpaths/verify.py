@@ -637,12 +637,12 @@ def _ddalg_of(d: Diagram, levels: dict, images: dict, table: _Table) -> tuple:
     for t, hi, hi_ids, _changed in _levels(base.graph, table):
         if lo is not None:
             in_b = d.is_black(shape.threshold_coord(t))
-            for i, j, pick in levels[t, in_b]:
+            for i, j, nw, pick in levels[t, in_b]:
                 key = (t, i, j, in_b, pick(hi_ids), pick(lo_ids))
                 held = table.get(key)
                 if held is None:
                     held = table[key] = _level_checks(
-                        base, t, i, j, in_b, hi, lo, images
+                        base, t, i, j, in_b, nw, hi, lo, images
                     )
                 for kind, ok in held:
                     checks += 1
@@ -656,45 +656,43 @@ def _ddalg_of(d: Diagram, levels: dict, images: dict, table: _Table) -> tuple:
 
 def _ddalg_levels(shape: Shape) -> dict:
     """Per threshold t > 1 and whether its coordinate (r, s) is black, the
-    coordinates (i, j) in order, each with an itemgetter of the row-major
-    indices of the families its checks read: (i, j), and in the northwest
-    case (white (r, s), i < r and j < s) also (i, s), (r, j) and (r, s)."""
+    coordinates (i, j) in order, each with its northwest flag (white
+    (r, s), i < r and j < s) and an itemgetter of the row-major indices of
+    the families its checks read: (i, j), and in the northwest case also
+    (i, s), (r, j) and (r, s)."""
     levels = {}
     for t in range(2, shape.mn + 1):
         r, s = shape.threshold_coord(t)
         for in_b in (False, True):
-            levels[t, in_b] = [
-                (i, j, itemgetter(*[
-                    (a - 1) * shape.n + b - 1
-                    for a, b in (
-                        ((i, j), (i, s), (r, j), (r, s))
-                        if not in_b and i < r and j < s else ((i, j),)
-                    )
-                ]))
-                for i, j in shape.coords()
-            ]
+            entries = levels[t, in_b] = []
+            for i, j in shape.coords():
+                nw = not in_b and i < r and j < s
+                cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
+                pick = itemgetter(*[(a - 1) * shape.n + b - 1 for a, b in cells])
+                entries.append((i, j, nw, pick))
     return levels
 
 
-def _level_checks(base, t, i, j, in_b, hi, lo, images) -> tuple:
+def _level_checks(base, t, i, j, in_b, nw, hi, lo, images) -> tuple:
     """(kind, held) per check of coordinate (i, j) across level t, in check
     order, from the family grids hi at t and lo at t - 1 of the diagram of
-    the handle `base`: the generator identity, and unless the threshold
-    coordinate is black, sigma at level t of the forward image of y_{i,j}
-    against sigma at level t - 1 of y_{i,j}."""
+    the handle `base`: the generator identity (the derivation identity when
+    `nw`, the northwest flag of `_ddalg_levels`, else stability), and unless
+    the threshold coordinate is black, sigma at level t of the forward image
+    of y_{i,j} against sigma at level t - 1 of y_{i,j}."""
     shape = base.shape
-    r, s = shape.threshold_coord(t)
     x = hi[i - 1][j - 1].generator
     y = lo[i - 1][j - 1].generator
-    if in_b or i >= r or j >= s:
-        held = [("generator-stability", x == y)]
-    else:
+    if nw:
+        r, s = shape.threshold_coord(t)
         corr = (
             lo[i - 1][s - 1].generator
             * lo[r - 1][s - 1].generator.inverse()
             * lo[r - 1][j - 1].generator
         )
         held = [("generator-derivation-identity", x == y + corr)]
+    else:
+        held = [("generator-stability", x == y)]
     if not in_b:
         pair = images.get((t, (i, j)))
         if pair is None:

@@ -13,8 +13,10 @@ it is taken, the family grid selected entry by entry at each threshold (the
 library builds it from the grid one threshold below), the supremum and
 infimum of a path-system family as a fold of segment-by-segment path
 combinations over every system, the derivation
-maps through a table of all mn generator images, straightening as a walk
-of the word rewrite tree that swaps one adjacent descent at a time, the
+maps through a table of all mn generator images, the term order as a
+comparator that walks two keys to their first differing coordinate,
+straightening as a walk of the word rewrite tree that swaps one adjacent
+descent at a time, the
 polynomial product as that walk per pair of terms, and the path evaluation
 as a product of TorusElements per term.  Apart from the TorusElement
 product that last one uses (itself checked against the transposition
@@ -39,15 +41,15 @@ The Groebner-layer oracles are the slower library routes that the fast ones
 replaced: the kernel minors by one path-system search per minor
 (`minor_in_kernel`), the minimal basis by a filter over every diagonal
 subminor of each kernel minor, reduction and trace replay on QmPoly arithmetic,
-one `QmPoly.__mul__` per step, the random samples built by QmPoly sums term
-by term, and the randomized check that evaluates every non-kernel sample's
-difference from its remainder.  A key sum's oracle canonicalizes the
-concatenated keys.
+leading terms by the term-order comparator, one `QmPoly.__mul__` per step,
+the random samples built by QmPoly sums term by term, and the randomized
+check that evaluates every non-kernel sample's difference from its
+remainder.  A key sum's oracle canonicalizes the concatenated keys.
 """
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from itertools import combinations, permutations, product
 
 from qmpaths.cauchon import (
@@ -75,7 +77,7 @@ from qmpaths.minors import (
 )
 from qmpaths.straighten import QmPoly, count_terms_in_grade, grade, term_divides
 from qmpaths.torus import (
-    EMPTY_KEY, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
+    EMPTY_KEY, MonoKey, TorusElement, key_entry, mono_key, monomial_mul, pair_commutation,
 )
 from qmpaths.verify import Report, _random_qmpoly, _run, _shapes
 
@@ -113,12 +115,6 @@ def expand_key(key):
 def oracle_monomial_mul(a, b):
     """(c, a+b) with t^a t^b = q^c t^(a+b), via literal transpositions."""
     return oracle_sort_word(expand_key(a) + expand_key(b))
-
-
-def oracle_word_element(shape, word):
-    """TorusElement of a generator word, via the transposition oracle."""
-    qexp, key = oracle_sort_word(word)
-    return TorusElement.monomial(shape, key, q_power(qexp))
 
 
 def oracle_torus_mul(a, b):
@@ -208,6 +204,43 @@ def oracle_minor_poly(shape, t, I, J):
         key = mono_key((I[a], J[perm[a]], 1) for a in range(len(I)))
         terms.append((key, q_power(inv) * (-1) ** inv))
     return QmPoly(shape, t, terms)
+
+
+def matrix_lex_compare(a: MonoKey, b: MonoKey):
+    """Compare exponent matrices by their first differing coordinate.
+
+    Returns (cmp, witness): cmp is -1/0/+1 for a < b / a == b / a > b in the
+    term order, witness the coordinate where they first differ (None if equal).
+    The matrix with the larger entry at the witness is the larger term.
+    """
+    ia, ib = 0, 0
+    while ia < len(a) and ib < len(b):
+        ca = (a[ia][0], a[ia][1])
+        cb = (b[ib][0], b[ib][1])
+        if ca == cb:
+            if a[ia][2] != b[ib][2]:
+                return (-1 if a[ia][2] < b[ib][2] else 1), ca
+            ia += 1
+            ib += 1
+        elif ca < cb:
+            # entry of b at ca is 0
+            return (-1 if a[ia][2] < 0 else 1), ca
+        else:
+            return (1 if b[ib][2] < 0 else -1), cb
+    if ia < len(a):
+        ca = (a[ia][0], a[ia][1])
+        return (-1 if a[ia][2] < 0 else 1), ca
+    if ib < len(b):
+        cb = (b[ib][0], b[ib][1])
+        return (1 if b[ib][2] < 0 else -1), cb
+    return 0, None
+
+
+def oracle_leading_term(a):
+    """(key, coeff) of a's largest term under `matrix_lex_compare`."""
+    terms = a.terms
+    key = max(terms, key=cmp_to_key(lambda u, v: matrix_lex_compare(u, v)[0]))
+    return key, terms[key]
 
 
 def oracle_term_divides(a, b):
@@ -892,8 +925,8 @@ def oracle_minimal_groebner(handle):
 
 
 def oracle_reduce(a, basis):
-    """Right-reduction on QmPoly arithmetic: leading terms by
-    `QmPoly.leading_term`, each step's product g * x^c by `QmPoly.__mul__`,
+    """Right-reduction on QmPoly arithmetic: leading terms by the comparator
+    (`oracle_leading_term`), each step's product g * x^c by `QmPoly.__mul__`,
     the work polynomial updated by QmPoly subtraction."""
     if a.shape != basis.handle.shape or a.threshold != basis.handle.threshold:
         raise ValueError("element and basis live in different algebras")
@@ -908,7 +941,7 @@ def oracle_reduce(a, basis):
     work = a
     steps = 0
     while not work.is_zero():
-        lt_key, lt_coeff = work.leading_term()
+        lt_key, lt_coeff = oracle_leading_term(work)
         hit = None
         for idx, e in enumerate(basis.elements):
             if term_divides(e.lt_key, lt_key):
@@ -925,7 +958,7 @@ def oracle_reduce(a, basis):
             for i, j, eo in lt_key
         )
         prod = e.poly * QmPoly.monomial(a.shape, a.threshold, cof)
-        pk, pc = prod.leading_term()
+        pk, pc = oracle_leading_term(prod)
         if pk != lt_key:
             raise RuntimeError("leading term of g * x^c is not lt(a) (bug)")
         if pc.as_monomial() is None:

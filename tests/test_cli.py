@@ -254,6 +254,7 @@ def test_usage_error_exit_code(capsys):
         ["minor", "2", "2", "--diagram", "../..", "--spec", "[0|1]"],
         ["minor", "2", "2", "--diagram", "../..", "--spec", "[-1|1]"],
         ["graph", "2", "2", "--diagram", "../..", "-o", "/nonexistent/dir/x.dot"],
+        ["graph", "2", "2", "--diagram", "../..", "-t", "99"],
         ["verify", "relations", "--max", "2", "2", "--seed", "-5"],
         ["verify", "lindstrom", "--max", "2", "2", "--samples", "6"],
         ["verify", "groebner", "--diagram", "../..", "--max", "9", "9",
@@ -264,7 +265,7 @@ def test_usage_error_exit_code(capsys):
          "diagram-and-diagram-file",
          "relations-diagram", "lindstrom-t", "ddalg-diagram-t", "all-diagram",
          "groebner-t-without-diagram", "minor-index-0", "minor-index-negative",
-         "graph-unwritable-output", "relations-seed", "lindstrom-samples",
+         "graph-unwritable-output", "graph-t", "relations-seed", "lindstrom-samples",
          "groebner-diagram-max"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import (
+    matrix_lex_compare,
     oracle_apply_trace,
     oracle_diagonal_subminors,
     oracle_hprime_minors,
@@ -13,7 +14,7 @@ from oracles import (
 from qmpaths import groebner
 from qmpaths.coeff import q_power
 from qmpaths.torus import Shape, TorusElement, mono_key
-from qmpaths.straighten import QmPoly, grade, matrix_lex_compare, term_divides
+from qmpaths.straighten import QmPoly, grade, lex_key, term_divides
 from qmpaths.cauchon import Diagram, enumerate_cauchon_diagrams
 from qmpaths.minors import HPrimeHandle, kernel_member, sigma
 from qmpaths.groebner import (
@@ -203,7 +204,6 @@ def test_reduction_remainder_locality(staircase_handle):
     basis = groebner_basis(staircase_handle)
     rng = random.Random(13)
     coords = list(sh.coords())
-    from qmpaths.straighten import matrix_lex_compare
 
     for e in basis.elements:
         if e.bare:
@@ -223,18 +223,29 @@ def test_reduction_remainder_locality(staircase_handle):
 
 
 def test_lex_key_orders_like_matrix_lex_compare():
+    # integer keys of either sign on the 3x3 grid; half the pairs are a key
+    # and a copy of it changed at one coordinate, so that they first differ
+    # past a shared prefix, at the localized sign change, or at an end
     rng = random.Random(23)
     coords = list(Shape(3, 3).coords())
 
     def key():
-        return mono_key((*rng.choice(coords), 1) for _ in range(rng.randint(0, 4)))
-
-    for _ in range(2000):
-        a, b = key(), key()
-        lex = (groebner._lex_key(a) > groebner._lex_key(b)) - (
-            groebner._lex_key(a) < groebner._lex_key(b)
+        return mono_key(
+            (*rng.choice(coords), rng.choice((-2, -1, 1, 1, 2)))
+            for _ in range(rng.randint(0, 5))
         )
+
+    negative = 0
+    for n in range(4000):
+        a = key()
+        if n % 2:
+            b = mono_key(a + ((*rng.choice(coords), rng.choice((-2, -1, 1, 2))),))
+        else:
+            b = key()
+        negative += any(e < 0 for _i, _j, e in a + b)
+        lex = (lex_key(a) > lex_key(b)) - (lex_key(a) < lex_key(b))
         assert lex == matrix_lex_compare(a, b)[0], (a, b)
+    assert negative > 2000
 
 
 def _oracle_cases(rng, shape, per_shape):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,3 +75,21 @@ def test_stress_runs_verify_3x4_matches_digest():
     result = stress.run_worker("verify-3x4")
     assert result is not None
     assert result["sha256"] == stress.DIGESTS["verify-3x4"] == VERIFY_3X4_SHA256
+
+
+#: sha256 of the Groebner stress cases: the 5x5-check report and the
+#: 6x6-basis spec list
+GROEBNER_STRESS_SHA256 = {
+    "5x5-check": "e379fdcd926d8b0515ab6e5ce4d1da29aed92f59033a95d8f7df23386c09b697",
+    "6x6-basis": "3f9ed5c1c3756b6793f461848aa4f316b0dac8232e92fadedbf2e77c711030b4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROEBNER_STRESS_SHA256))
+def test_stress_runs_groebner_case_matches_digest(name):
+    # reduction and leading keys at 5x5 and 6x6, in a fresh interpreter;
+    # about a second each
+    stress = _stress_runs()
+    result = stress.run_worker(name)
+    assert result is not None
+    assert result["sha256"] == stress.DIGESTS[name] == GROEBNER_STRESS_SHA256[name]

@@ -103,3 +103,24 @@ def test_scalars_are_built_at_the_boundary():
                 found.add(path.name)
     assert found <= {"coeff.py", "torus.py"}
     assert "torus.py" in found
+
+
+def test_one_term_order():
+    # straighten and groebner pick leading terms with one sort key,
+    # straighten.lex_key; the comparator it replaced is the test oracle
+    keys, defined = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [path.name for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "lex_key"]
+        if path.name not in ("straighten.py", "groebner.py"):
+            continue
+        keys += [
+            ast.unparse(kw.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("max", "min", "sorted")
+            for kw in node.keywords if kw.arg == "key"
+        ]
+    assert defined == ["straighten.py"]
+    assert keys and set(keys) == {"lex_key"}

@@ -11,16 +11,19 @@ from qmpaths.straighten import (
     count_terms_in_grade,
     grade,
     leading_term,
-    matrix_lex_compare,
     straighten_word,
     swap_adjacent,
     term_divides,
 )
 from qmpaths.cauchon import Diagram
-from qmpaths.minors import HPrimeHandle, MinorSpec, minor_poly, sigma
+from qmpaths.minors import (
+    HPrimeHandle, MinorSpec, dd_backward, dd_forward, minor_poly, sigma,
+)
 
 from oracles import (
     expand_key,
+    matrix_lex_compare,
+    oracle_leading_term,
     oracle_qmpoly_mul,
     oracle_straighten_word,
     oracle_term_divides,
@@ -102,6 +105,34 @@ def test_leading_term_examples(shape22):
     assert coeff == ONE
     with pytest.raises(ValueError):
         leading_term(QmPoly.zero(shape22, 4))
+
+
+def test_leading_term_of_localized_elements_matches_the_comparator():
+    # terms that differ only at the localized coordinate, whose exponents
+    # may go negative, and the derivation images of generators and of
+    # generator pairs, which are localized at a threshold coordinate
+    shape = Shape(3, 3)
+    rs = (2, 2)
+    elements = []
+    for rest in (E(), E((1, 1)), E((3, 3)), E((1, 3), (3, 1))):
+        for exps in ((0, -1, -2), (-1, -2), (-2, 1, -1), (2, 1, 0)):
+            terms = {mono_key(rest + ((*rs, e),)): ONE for e in exps}
+            elements.append(QmPoly(shape, 5, terms, loc=rs))
+    coords = shape.coords()
+    for t in range(2, shape.mn + 1):
+        r, s = shape.threshold_coord(t)
+        for a in coords:
+            x, y = (QmPoly.generator(shape, level, a) for level in (t - 1, t))
+            elements += [dd_forward(x), dd_backward(y)]
+            if a[0] < r and a[1] < s:  # images with a correction term
+                for b in coords:
+                    elements += [
+                        dd_forward(x * QmPoly.generator(shape, t - 1, b)),
+                        dd_backward(QmPoly.generator(shape, t, b) * y),
+                    ]
+    assert sum(len(a) > 1 for a in elements) > 150
+    for a in elements:
+        assert a.leading_term() == oracle_leading_term(a)
 
 
 def test_term_divides_examples():

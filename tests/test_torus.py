@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmpaths.cauchon import Diagram
 from qmpaths.coeff import ONE, q_power
+from qmpaths.straighten import QmPoly
 from qmpaths.torus import (
     Shape,
     TorusElement,
@@ -60,6 +62,33 @@ def test_shape_validation():
 ])
 def test_bool_is_not_a_dimension_coordinate_or_threshold(make, message):
     # bool subclasses int and passes the range checks as 1 or 0
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def _term(*entry):
+    return [{"N": [list(entry)], "coeff": [[0, 1, 1]]}]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Diagram.from_json({"m": 2, "n": 2, "black": [[1.5, 1]]}),
+     "coordinate (1.5, 1): entries must be integers, not float"),
+    (lambda: Diagram.from_json({"m": 2, "n": 2, "black": [[1.0, 1]]}),
+     "coordinate (1.0, 1): entries must be integers, not float"),
+    (lambda: TorusElement.from_json(Shape(2, 2), _term(1.5, 1, 1)),
+     "coordinate (1.5, 1): entries must be integers, not float"),
+    (lambda: TorusElement.from_json(Shape(2, 2), _term(1, 1, 1.5)),
+     "exponent at (1, 1): must be an integer, not float"),
+    (lambda: QmPoly.from_json({"m": 2, "n": 2, "t": 4, "terms": _term(1, 1, 1.5)}),
+     "exponent at (1, 1): must be an integer, not float"),
+    (lambda: QmPoly.from_json({"m": 2, "n": 2, "t": 4, "terms": _term(1.0, 1, 1)}),
+     "coordinate (1.0, 1): entries must be integers, not float"),
+], ids=["diagram-1.5", "diagram-1.0", "torus-coord-1.5", "torus-exponent-1.5",
+        "qmpoly-exponent-1.5", "qmpoly-coord-1.0"])
+def test_coordinates_and_exponents_must_be_ints(make, message):
+    # a float passes the range checks and used to fail only later, in a
+    # graph build or a product, or not at all
     with pytest.raises(TypeError) as info:
         make()
     assert str(info.value) == message

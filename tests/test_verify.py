@@ -300,6 +300,37 @@ def test_level_walk_skips_lookups_never_decisions(monkeypatch, cpus):
     assert len(decided) == 1399
 
 
+@pytest.mark.parametrize("cpus", [1], indirect=True, ids=lambda n: f"{n}cpu")
+def test_ddalg_northwest_rule_is_written_once(monkeypatch, cpus):
+    # each level entry carries its northwest flag; the flag picks both the
+    # families the entry's key reads and the identity its check tests
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        shape = Shape(m, n)
+        for (t, in_b), entries in verify._ddalg_levels(shape).items():
+            r, s = shape.threshold_coord(t)
+            for i, j, nw, pick in entries:
+                assert nw == (not in_b and i < r and j < s)
+                cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
+                index = [(a - 1) * n + b - 1 for a, b in cells]
+                assert pick(range(m * n)) == (tuple(index) if nw else index[0])
+    tables = []
+
+    class Recorded(verify._Table):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(verify, "_Table", Recorded)
+    assert verify.run_ddalg(3, 3, samples=1).passed
+    checks = [(key, held) for table in tables for key, held in table.items()]
+    assert checks
+    for (_t, _i, _j, _in_b, hi, lo), held in checks:
+        identity = held[0][0]
+        assert identity == ("generator-derivation-identity" if isinstance(hi, tuple)
+                            else "generator-stability")
+        assert isinstance(lo, tuple) == isinstance(hi, tuple)
+
+
 def test_equal_content_ids_hold_equal_families():
     # every diagram and threshold up to 3x3: families that share a content
     # id share everything a check reads of them
