@@ -9,7 +9,7 @@ maps, and minor Groebner bases for the torus-invariant primes.
 
 from .coeff import LAM, ONE, Q, Q_INV, ZERO, LaurentScalar, q_power
 from .torus import Coord, MonoKey, Shape, TorusElement, mono_key, t_gen
-from .straighten import GradeVector, QmPoly, Threshold, grade, leading_term, swap_adjacent, term_divides
+from .straighten import GradeVector, QmPoly, Threshold, grade, swap_adjacent, term_divides
 from .cauchon import (
     CauchonGraph,
     Diagram,

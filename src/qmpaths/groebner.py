@@ -481,6 +481,8 @@ def groebner_check(
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
+    if basis is not None and basis.handle != handle:
+        raise ValueError(f"the basis was built for {basis.handle}, not {handle}")
     full_basis = groebner_basis(handle, check=False)
     if basis is None:
         basis = full_basis

@@ -461,7 +461,3 @@ def swap_adjacent(shape: Shape, t, a: Coord, b: Coord) -> QmPoly:
     th = t if isinstance(t, Threshold) else Threshold.of(shape, t)
     terms = straighten_word(th.rs, None, ((*a, 1), (*b, 1)))
     return QmPoly(shape, th, terms)
-
-
-def leading_term(a: QmPoly) -> tuple[MonoKey, LaurentScalar]:
-    return a.leading_term()

@@ -32,8 +32,11 @@ class Shape:
     relaxed: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.m.__class__ is bool or self.n.__class__ is bool:
-            raise TypeError("shape dimensions must be integers, not bool")
+        for dim in (self.m, self.n):
+            if dim.__class__ is not int:
+                raise TypeError(
+                    f"shape dimensions must be integers, not {dim.__class__.__name__}"
+                )
         if self.m < 1 or self.n < 1:
             raise ValueError("shape dimensions must be positive")
         if not self.relaxed and (self.m < 2 or self.n < 2):

@@ -24,13 +24,13 @@ and reports its own checks from those decisions.
 The families are nested in t and change only where the threshold passes
 one of their paths' reflected-L turns, so consecutive levels of a diagram
 nearly always read the same grid (up to 3x3, 220 of the 2,342 steps from
-one level to the next change a family).  Each suite walks a diagram's
-levels in order (`_levels`), carrying the previous level's grid, content
-ids and verdicts: at a level whose grid is unchanged, relations and
-lindstrom look up only the checks whose key is new there, and ddalg, whose
-keys hold t, builds its keys from the ids carried over.  A key is still
-decided once per shape table, so the decisions, check counts and reports
-are those of a walk that looks up every check at every level.
+one level to the next change a family).  One function, `_walk`, walks a
+diagram's levels in order for all three suites, by a plan of each level's
+checks that a suite builds once per shape, carrying the previous level's
+grid, content ids and verdicts: at a level whose grid is unchanged it
+looks up only the checks whose key is new there.  A key is still decided
+once per shape table, so the decisions, check counts and reports are
+those of a walk that looks up every check at every level.
 """
 
 from __future__ import annotations
@@ -292,39 +292,87 @@ class _Table(dict):
         return content_id
 
 
-def _per_diagram(task, shapes: list, tabled: bool = False):
-    """The items (task, d, *args) for every Cauchon diagram d of each
-    (shape, *args) in `shapes`, as a stream for `_sweep`.  With `tabled`,
-    each item also carries its shape's `_Table`, made anew by every call of
-    the stream: each sweep process fills its own and frees it with the
-    stream."""
+def _per_diagram(task, shapes: list):
+    """The items (task, d, *args, table) for every Cauchon diagram d of each
+    (shape, *args) in `shapes`, as a stream for `_sweep`; each call of the
+    stream makes every shape's `_Table` anew, so each sweep process fills
+    its own and frees it with the stream."""
 
     def items():
         for shape, *args in shapes:
-            if tabled:
-                args.append(_Table())
+            table = _Table()
             for d in enumerate_cauchon_diagrams(shape):
-                yield (task, d, *args)
+                yield (task, d, *args, table)
 
     return items
 
 
-def _levels(g, table: _Table):
-    """The level walk of one diagram's graph, every threshold t in order:
-    (t, grid, ids, changed), with the family grid at t, the content ids of
-    its families in row-major order, and whether the grid is another
-    object than at t - 1 (always at t = 1).  A grid that keeps its
-    families is the object of the level before (see `family_grid`), so an
-    unchanged level keeps the ids of the level before, and a suite can keep
-    the verdict of every check whose key is unchanged."""
+#: one copy of each verdict tuple the tables hold, so that a table's values
+#: are a handful of shared tuples however many keys it has
+_VERDICTS: dict = {}
+
+
+def _picker(cells: list) -> itemgetter:
+    """The itemgetter of the indices `cells`, which returns a sequence even
+    for one index."""
+    if len(cells) == 1:
+        return itemgetter(slice(cells[0], cells[0] + 1))
+    return itemgetter(*cells)
+
+
+def _level(entries: list, new: list) -> tuple:
+    """A level of a plan (see `_walk`)."""
+    return entries, new, sum(len(entry[3]) for entry in entries)
+
+
+def _walk(d: Diagram, g, plan: list, table: _Table, decide) -> tuple:
+    """The sweep item result of the checks of one diagram, with graph g, at
+    every threshold.  `plan[t - 1]` is level t, (entries, new, size): its
+    check entries in check order, those whose key changes although the
+    grid does not, and its number of checks.  An entry (slot, tag, pick,
+    names, witness) is keyed by (tag, *pick(ids)), ids the content ids of
+    grid t in row-major order followed by those of grid t - 1.  On a table
+    miss its verdicts, one bool per name, are decide(t, entry,
+    pick(families)), the families in the order of ids; a failing check is
+    reported as witness(diagram, t, name).  A grid that keeps its families
+    is the object of the level before (see `family_grid`), so there every
+    slot keeps its verdicts but those of the new entries."""
     content_id = table.content_ids()
-    grid = ids = None
-    for t in range(1, g.shape.mn + 1):
+    held = {}  # per slot, the verdicts of its entry at the level
+    bad = set()  # the slots whose verdicts hold a failure
+    checks, failures = 0, []
+    grid, hi, hi_fams, after = None, [], [], False
+    for t, (entries, new, size) in enumerate(plan, 1):
         X = family_grid(g, t)
         changed = X is not grid
         if changed:
-            grid, ids = X, [content_id(fam) for row in X for fam in row]
-        yield t, X, ids, changed
+            grid, lo, lo_fams = X, hi, hi_fams
+            hi_fams = [fam for row in X for fam in row]
+            hi = [content_id(fam) for fam in hi_fams]
+            ids, fams, after = hi + lo, hi_fams + lo_fams, True
+        elif after:  # grid t - 1 is grid t from here on
+            ids, fams, after = hi + hi, hi_fams + hi_fams, False
+        for entry in entries if changed else new:
+            slot, tag, pick, _names, _witness = entry
+            key = (tag, *pick(ids))
+            verdicts = table.get(key)
+            if verdicts is None:
+                verdicts = decide(t, entry, pick(fams))
+                verdicts = table[key] = _VERDICTS.setdefault(verdicts, verdicts)
+            held[slot] = verdicts
+            if False in verdicts:
+                bad.add(slot)
+            elif bad:
+                bad.discard(slot)
+        if not bad:
+            checks += size
+            continue
+        for slot, _tag, _pick, names, witness in entries:
+            for name, holds in zip(names, held[slot]):
+                checks += 1
+                if not holds:
+                    failures.append((checks, witness(d.to_inline(), t, name)))
+    return checks, failures
 
 
 def _sweep(report: Report, items) -> None:
@@ -378,39 +426,32 @@ _COMMUTING = ("ab=qba", "cd=qdc", "ac=qca", "bd=qdb", "bc=cb", "ad=da")
 _LAMBDA = _COMMUTING[:5] + ("ad=da+lam*bc",)
 
 
-def _fixed_relations(mul, a, b, c, dd) -> tuple:
-    """Whether ab = qba, cd = qdc, ac = qca, bd = qdb and bc = cb hold for
-    the families a, b, c, dd of a 2x2 submatrix."""
+def _relations(mul, commuting: bool, a, b, c, dd) -> tuple:
+    """Whether ab = qba, cd = qdc, ac = qca, bd = qdb, bc = cb and ad = da
+    (`commuting`) or ad = da + (q - q^{-1}) bc hold for the families a, b,
+    c, dd of a 2x2 submatrix."""
+    if commuting:
+        ad = mul(a, dd) == mul(dd, a)
+    else:
+        # da + (q - q^{-1}) bc in canonical parts, on a copy of the shared da
+        rhs = {key: dict(cs) for key, cs in mul(dd, a).items()}
+        for key, cs in mul(b, c).items():
+            add_parts(rhs, key, cs.items(), LAM.terms)
+        ad = mul(a, dd) == rhs
     return (
         mul(a, b) == _q_shift(mul(b, a), 1),
         mul(c, dd) == _q_shift(mul(dd, c), 1),
         mul(a, c) == _q_shift(mul(c, a), 1),
         mul(b, dd) == _q_shift(mul(dd, b), 1),
         mul(b, c) == mul(c, b),
+        ad,
     )
 
 
-def _ad_relation(mul, a, b, c, dd, commuting: bool) -> bool:
-    """Whether ad = da holds (commuting) or ad = da + (q - q^{-1}) bc."""
-    if commuting:
-        return mul(a, dd) == mul(dd, a)
-    # da + (q - q^{-1}) bc in canonical parts, on a copy of the shared da
-    rhs = {key: dict(cs) for key, cs in mul(dd, a).items()}
-    for key, cs in mul(b, c).items():
-        add_parts(rhs, key, cs.items(), LAM.terms)
-    return mul(a, dd) == rhs
-
-
-def _relations_of(d: Diagram, subs: list, flips: dict, table: _Table) -> tuple:
-    """The relations of every 2x2 submatrix in `subs`, each (i, j, k, l)
-    with the row-major indices of its four families, at every threshold,
-    for one diagram.  `table` holds the decisions of the shape's diagrams,
-    per content ids of a submatrix's four families (and, for ad, per
-    branch).  A level whose grid is unchanged keeps the verdicts of the
-    level before and looks up only the submatrices whose ad branch flips
-    there, `flips[rs]`: those cornered at the threshold coordinate."""
-    shape = d.shape
-    g = build_graph(d)
+def _relations_of(d: Diagram, plan: list, table: _Table) -> tuple:
+    """The relations of every 2x2 submatrix at every threshold of one
+    diagram, walked by `plan` (see `run_relations`).  Each ordered product
+    of two families is formed at most once per diagram."""
     products: dict = {}
 
     def mul(u, v):
@@ -419,40 +460,35 @@ def _relations_of(d: Diagram, subs: list, flips: dict, table: _Table) -> tuple:
             p = products[u.key, v.key] = parts_mul(u.weights, v.weights)
         return p
 
-    held = [None] * len(subs)  # per submatrix, its relations at the level
-    ok = [False] * len(subs)  # per submatrix, whether all of them hold
-    checks, failures = 0, []
-    for t, X, ids, changed in _levels(g, table):
-        rs = shape.threshold_coord(t)
-        for n in range(len(subs)) if changed else flips.get(rs, ()):
-            (i, j, k, l), cells = subs[n]
-            commuting = (k, l) > rs
-            quad = tuple([ids[c] for c in cells])
-            fixed = table.get(quad)
-            ad = table.get((*quad, commuting))
-            if fixed is None or ad is None:
-                fams = [X[c // shape.n][c % shape.n] for c in cells]
-                if fixed is None:
-                    fixed = table[quad] = _fixed_relations(mul, *fams)
-                if ad is None:
-                    ad = table[(*quad, commuting)] = _ad_relation(mul, *fams, commuting)
-            held[n] = (*fixed, ad)
-            ok[n] = ad and all(fixed)
-        if False not in ok:
-            checks += 6 * len(subs)
-            continue
-        for (sub, _cells), relations in zip(subs, held):
-            names = _COMMUTING if sub[2:] > rs else _LAMBDA
-            for name, holds in zip(names, relations):
-                checks += 1
-                if not holds:
-                    failures.append((checks, {
-                        "diagram": d.to_inline(),
-                        "t": t,
-                        "submatrix": list(sub),
-                        "relation": name,
-                    }))
-    return checks, failures
+    def decide(t, entry, fams):
+        return _relations(mul, entry[1], *fams)
+
+    return _walk(d, build_graph(d), plan, table, decide)
+
+
+def _relations_plan(shape: Shape) -> list:
+    """Per threshold, an entry per 2x2 submatrix, tagged with its ad branch
+    and picking its four families; new at an unchanged grid are those
+    cornered at the threshold coordinate, whose branch flips there."""
+    subs = []
+    for i, k in combinations(range(1, shape.m + 1), 2):
+        for j, l in combinations(range(1, shape.n + 1), 2):
+            corners = ((i, j), (i, l), (k, j), (k, l))
+            cells = [(a - 1) * shape.n + b - 1 for a, b in corners]
+
+            def witness(d, t, name, sub=(i, j, k, l)):
+                return {"diagram": d, "t": t, "submatrix": list(sub),
+                        "relation": name}
+
+            subs.append(((k, l), _picker(cells), witness))
+    plan = []
+    for rs in shape.coords():
+        entries = [
+            (n, corner > rs, pick, _COMMUTING if corner > rs else _LAMBDA, witness)
+            for n, (corner, pick, witness) in enumerate(subs)
+        ]
+        plan.append(_level(entries, [e for e in entries if subs[e[0]][0] == rs]))
+    return plan
 
 
 def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
@@ -462,31 +498,17 @@ def run_relations(max_m: int = 3, max_n: int = 3) -> Report:
     The generators are compared as their families' path sums, integer
     parts {N: {c: n}}.  The relations of a submatrix read its four families
     and, for ad, whether the threshold coordinate lies before its corner d.
-    So each relation is decided once per shape for each distinct content of
-    the four families (`_Table`), the ad relation once per branch a
-    threshold asks for, and every diagram and threshold counts and reports
-    from that table.  A level whose grid is the previous level's keeps that
-    level's verdicts and looks up only the ad relation of the submatrices
-    cornered at its threshold coordinate, whose branch flips there; after a
-    grid change it looks up every relation.  Each ordered product of two
-    families is formed at most once per diagram.
+    So the six relations are decided together once per shape for each
+    branch and distinct content of the four families (`_Table`), and every
+    diagram and threshold counts and reports from that table.  A level
+    whose grid is the previous level's looks up only the submatrices
+    cornered at its threshold coordinate, whose branch flips there.
     """
     report = Report("relations", {"max": [max_m, max_n]})
 
     def body(report):
-        shapes = []  # (shape, its 2x2 submatrices, those per corner)
-        for shape in _shapes(max_m, max_n):
-            rows, cols = range(1, shape.m + 1), range(1, shape.n + 1)
-            subs, flips = [], {}
-            for i, k in combinations(rows, 2):
-                for j, l in combinations(cols, 2):
-                    flips.setdefault((k, l), []).append(len(subs))
-                    subs.append(((i, j, k, l), [
-                        (a - 1) * shape.n + b - 1
-                        for a, b in ((i, j), (i, l), (k, j), (k, l))
-                    ]))
-            shapes.append((shape, subs, flips))
-        _sweep(report, _per_diagram(_relations_of, shapes, tabled=True))
+        shapes = [(shape, _relations_plan(shape)) for shape in _shapes(max_m, max_n)]
+        _sweep(report, _per_diagram(_relations_of, shapes))
 
     return _run(report, body)
 
@@ -509,32 +531,46 @@ def _lindstrom_holds(h: HPrimeHandle, spec: MinorSpec, poly: QmPoly) -> bool:
     )
 
 
-def _lindstrom_of(d: Diagram, levels: list, table: _Table) -> tuple:
-    """Every minor of `levels` (per threshold, the minors it checks with
-    their polynomials and the row-major indices of their k x k families,
-    and of those the minors new at the threshold) for one diagram.
-    `table` holds the decisions of the shape's diagrams, per minor and
-    content ids of its families.  A level whose grid is unchanged keeps the
-    verdicts of the level before and looks up only its new minors."""
+def _lindstrom_of(d: Diagram, plan: list, specs: list, polys: list,
+                  table: _Table) -> tuple:
+    """Every minor at every threshold of one diagram, walked by the plan of
+    `_lindstrom_plan`."""
     base = HPrimeHandle(d, 1)
-    held: dict = {}  # per minor number, whether it holds at the level
-    checks, failures = 0, []
-    walk = _levels(base.graph, table)
-    for (t, checked, new), (_t, _grid, ids, changed) in zip(levels, walk):
-        for n, spec, poly, cells in checked if changed else new:
-            key = (n, *[ids[c] for c in cells])
-            ok = table.get(key)
-            if ok is None:
-                ok = table[key] = _lindstrom_holds(base.at(t), spec, poly)
-            held[n] = ok
-        if False in held.values():
-            for done, (n, spec, _poly, _cells) in enumerate(checked, checks + 1):
-                if not held[n]:
-                    failures.append(
-                        (done, {"diagram": d.to_inline(), "t": t, "minor": str(spec)})
-                    )
-        checks += len(checked)
-    return checks, failures
+
+    def decide(t, entry, fams):
+        n = entry[1]
+        return (_lindstrom_holds(base.at(t), specs[n], polys[t - 1][n]),)
+
+    return _walk(d, base.graph, plan, table, decide)
+
+
+def _lindstrom_plan(shape: Shape) -> tuple:
+    """(plan, specs, polys): per threshold, an entry per minor n checked
+    there, tagged n and picking its k x k families; the minors; and
+    polys[t - 1][n], the polynomial of minor n at t where it is checked."""
+    specs = [
+        MinorSpec(I, J)
+        for k in range(1, min(shape.m, shape.n) + 1)
+        for I in combinations(range(1, shape.m + 1), k)
+        for J in combinations(range(1, shape.n + 1), k)
+    ]
+
+    def witness(d, t, name):
+        return {"diagram": d, "t": t, "minor": name}
+
+    minors = [
+        (n, n, _picker([(i - 1) * shape.n + j - 1 for i in spec.I for j in spec.J]),
+         (str(spec),), witness)
+        for n, spec in enumerate(specs)
+    ]
+    plan, polys = [], []
+    for t, rs in enumerate(shape.coords(), 1):
+        entries = [e for e in minors if specs[e[0]].max_coord <= rs]
+        new = [e for e in entries if specs[e[0]].max_coord == rs]
+        plan.append(_level(entries, new))
+        polys.append([minor_poly(shape, t, spec) if spec.max_coord <= rs else None
+                      for spec in specs])
+    return plan, specs, polys
 
 
 def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
@@ -547,39 +583,16 @@ def run_lindstrom(max_m: int = 3, max_n: int = 3) -> Report:
     and the path systems the diagonal ones, so each minor is decided once
     per shape for each distinct content of those families (`_Table`), and
     every diagram and threshold counts and reports from the decision.  A
-    level whose grid is the previous level's keeps that level's verdicts
-    and looks up only the minors whose maximum coordinate is its threshold
-    coordinate; after a grid change it looks up every minor it checks.  The
-    minors' polynomials are looked up once per shape and threshold, before
-    the sweep.
+    level whose grid is the previous level's looks up only the minors
+    whose maximum coordinate is its threshold coordinate.  The minors'
+    polynomials are looked up once per shape and threshold, before the
+    sweep.
     """
     report = Report("lindstrom", {"max": [max_m, max_n]})
 
     def body(report):
-        shapes = []  # (shape, per threshold the minors it checks)
-        for shape in _shapes(max_m, max_n):
-            specs = [
-                MinorSpec(I, J)
-                for k in range(1, min(shape.m, shape.n) + 1)
-                for I in combinations(range(1, shape.m + 1), k)
-                for J in combinations(range(1, shape.n + 1), k)
-            ]
-            cells = [
-                tuple((i - 1) * shape.n + j - 1 for i in spec.I for j in spec.J)
-                for spec in specs
-            ]
-            levels = []
-            for t in range(1, shape.mn + 1):
-                rs = shape.threshold_coord(t)
-                checked = [
-                    (n, spec, minor_poly(shape, t, spec), cells[n])
-                    for n, spec in enumerate(specs)
-                    if spec.max_coord <= rs
-                ]
-                new = [c for c in checked if c[1].max_coord == rs]
-                levels.append((t, checked, new))
-            shapes.append((shape, levels))
-        _sweep(report, _per_diagram(_lindstrom_of, shapes, tabled=True))
+        shapes = [(shape, *_lindstrom_plan(shape)) for shape in _shapes(max_m, max_n)]
+        _sweep(report, _per_diagram(_lindstrom_of, shapes))
 
     return _run(report, body)
 
@@ -621,88 +634,70 @@ def _roundtrips_of(shape: Shape, samples: int, seed: int) -> tuple:
 
 
 def _ddalg_of(d: Diagram, levels: dict, images: dict, table: _Table) -> tuple:
-    """The exact generator identities in the torus, and the compatibility
-    of the evaluation maps across one level, at every threshold of one
-    diagram.  `levels` picks the families each check reads (see
-    `_ddalg_levels`).  `images` caches (t, coord) -> (y_coord at t-1, its
-    forward image) for the diagram's shape.  `table` holds the checks of a
-    coordinate across a level for the shape's diagrams, per (t, i, j,
-    whether the threshold coordinate is black) and the content ids of the
-    families they read at both levels, those of the level before carried
-    from it."""
-    shape = d.shape
+    """The checks across every level of one diagram, walked by the levels
+    of `_ddalg_levels` its black squares pick.  `images` caches (t, coord)
+    -> (y_coord at t-1, its forward image) for the diagram's shape."""
     base = HPrimeHandle(d, 1)
-    checks, failures = 0, []
-    lo = lo_ids = None
-    for t, hi, hi_ids, _changed in _levels(base.graph, table):
-        if lo is not None:
-            in_b = d.is_black(shape.threshold_coord(t))
-            for i, j, nw, pick in levels[t, in_b]:
-                key = (t, i, j, in_b, pick(hi_ids), pick(lo_ids))
-                held = table.get(key)
-                if held is None:
-                    held = table[key] = _level_checks(
-                        base, t, i, j, in_b, nw, hi, lo, images
-                    )
-                for kind, ok in held:
-                    checks += 1
-                    if not ok:
-                        failures.append((checks, {
-                            "kind": kind, "diagram": d.to_inline(), "t": t, "coord": [i, j],
-                        }))
-        lo, lo_ids = hi, hi_ids
-    return checks, failures
+    plan = [levels[t, rs in d.black] for t, rs in enumerate(d.shape.coords(), 1)]
+
+    def decide(t, entry, fams):
+        return _level_checks(base, entry[1], fams, images)
+
+    return _walk(d, base.graph, plan, table, decide)
 
 
 def _ddalg_levels(shape: Shape) -> dict:
-    """Per threshold t > 1 and whether its coordinate (r, s) is black, the
-    coordinates (i, j) in order, each with its northwest flag (white
-    (r, s), i < r and j < s) and an itemgetter of the row-major indices of
-    the families its checks read: (i, j), and in the northwest case also
-    (i, s), (r, j) and (r, s)."""
-    levels = {}
-    for t in range(2, shape.mn + 1):
+    """Per threshold t and whether its coordinate (r, s) is black, the
+    plan level: for t > 1 an entry per coordinate (i, j), tagged (t, i, j,
+    black, northwest), northwest meaning white (r, s), i < r and j < s,
+    that picks (i, j), and if northwest (i, s), (r, j) and (r, s), at t and
+    at t - 1.  The keys hold t, so every entry is new at every level."""
+    mn = shape.mn
+    levels = {(1, False): _level([], []), (1, True): _level([], [])}
+    for t in range(2, mn + 1):
         r, s = shape.threshold_coord(t)
-        for in_b in (False, True):
-            entries = levels[t, in_b] = []
-            for i, j in shape.coords():
-                nw = not in_b and i < r and j < s
-                cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
-                pick = itemgetter(*[(a - 1) * shape.n + b - 1 for a, b in cells])
-                entries.append((i, j, nw, pick))
+        for black in (False, True):
+            entries = []
+            for slot, (i, j) in enumerate(shape.coords()):
+                nw = not black and i < r and j < s
+                cells = [
+                    (a - 1) * shape.n + b - 1
+                    for a, b in (((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),))
+                ]
+                names = (
+                    "generator-derivation-identity" if nw else "generator-stability",
+                    *(() if black else ("sigma-derivation-compat",)),
+                )
+
+                def witness(d, t, name, coord=(i, j)):
+                    return {"kind": name, "diagram": d, "t": t, "coord": list(coord)}
+
+                pick = _picker([*cells, *[c + mn for c in cells]])
+                entries.append((slot, (t, i, j, black, nw), pick, names, witness))
+            levels[t, black] = _level(entries, entries)
     return levels
 
 
-def _level_checks(base, t, i, j, in_b, nw, hi, lo, images) -> tuple:
-    """(kind, held) per check of coordinate (i, j) across level t, in check
-    order, from the family grids hi at t and lo at t - 1 of the diagram of
-    the handle `base`: the generator identity (the derivation identity when
-    `nw`, the northwest flag of `_ddalg_levels`, else stability), and unless
-    the threshold coordinate is black, sigma at level t of the forward image
-    of y_{i,j} against sigma at level t - 1 of y_{i,j}."""
-    shape = base.shape
-    x = hi[i - 1][j - 1].generator
-    y = lo[i - 1][j - 1].generator
-    if nw:
-        r, s = shape.threshold_coord(t)
-        corr = (
-            lo[i - 1][s - 1].generator
-            * lo[r - 1][s - 1].generator.inverse()
-            * lo[r - 1][j - 1].generator
-        )
-        held = [("generator-derivation-identity", x == y + corr)]
+def _level_checks(base, tag, fams, images) -> tuple:
+    """The verdicts of the `_ddalg_levels` entry `tag` on the families
+    `fams` it picks in the diagram of the handle `base`: the generator
+    identity (the derivation identity if northwest, else stability), and
+    unless (r, s) is black, sigma at t of the forward image of y_{i,j}
+    against sigma at t - 1 of y_{i,j}."""
+    t, i, j, black, nw = tag
+    x, y = fams[0].generator, fams[len(fams) // 2].generator
+    if nw:  # fams[4:] are (i, j), (i, s), (r, j) and (r, s) at t - 1
+        corr = fams[5].generator * fams[7].generator.inverse() * fams[6].generator
+        held = [x == y + corr]
     else:
-        held = [("generator-stability", x == y)]
-    if not in_b:
+        held = [x == y]
+    if not black:
         pair = images.get((t, (i, j)))
         if pair is None:
-            ygen = QmPoly.generator(shape, t - 1, (i, j))
+            ygen = QmPoly.generator(base.shape, t - 1, (i, j))
             pair = images[t, (i, j)] = (ygen, dd_forward(ygen))
         ygen, image = pair
-        held.append((
-            "sigma-derivation-compat",
-            sigma(base.at(t), image) == sigma(base.at(t - 1), ygen),
-        ))
+        held.append(sigma(base.at(t), image) == sigma(base.at(t - 1), ygen))
     return tuple(held)
 
 
@@ -720,8 +715,7 @@ def run_ddalg(max_m: int = 3, max_n: int = 3, samples: int = 500, seed: int = 0)
     levels, so they are decided once per shape for each distinct content
     of those families (`_Table`), and every diagram counts and reports from
     the decision.  The keys hold t, so every level looks up each of its
-    checks; the ids of level t - 1 are carried from the level before, and
-    each key is picked from the ids by one `itemgetter` per coordinate.
+    checks.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -769,9 +763,11 @@ def run_groebner(
     params = {"samples": samples, "seed": seed}
     if diagram is None:
         params["max"] = [max_m, max_n]
-        items = _per_diagram(_groebner_of, [
-            (shape, shape.mn, samples, seed) for shape in _shapes(max_m, max_n)
-        ])
+
+        def items():
+            for shape in _shapes(max_m, max_n):
+                for d in enumerate_cauchon_diagrams(shape):
+                    yield _groebner_of, d, shape.mn, samples, seed
     else:
         if t is None:
             t = diagram.shape.mn

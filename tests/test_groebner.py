@@ -332,6 +332,19 @@ def test_groebner_check_with_no_samples_does_not_pass(staircase_handle):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("black, other", [
+    ([(1, 1), (1, 2)], [(1, 1)]),
+    ([(1, 1)], [(1, 1), (1, 2)]),
+])
+def test_groebner_check_rejects_a_basis_of_another_handle(black, other):
+    # the check once ran the other diagram's basis and reported its
+    # failures under the handle's name
+    handle = HPrimeHandle(Diagram.of(Shape(2, 2), black), 4)
+    basis = groebner_basis(HPrimeHandle(Diagram.of(Shape(2, 2), other), 4))
+    with pytest.raises(ValueError, match="the basis was built for"):
+        groebner_check(handle, samples=5, basis=basis)
+
+
 def test_groebner_check_staircase(staircase_handle):
     rep = groebner_check(staircase_handle, samples=60, seed=7)
     assert rep.passed

@@ -124,3 +124,22 @@ def test_one_term_order():
         ]
     assert defined == ["straighten.py"]
     assert keys and set(keys) == {"lex_key"}
+
+
+def test_one_level_walk():
+    # in verify.py only _walk selects family grids and reads or writes a
+    # table's decisions: a threshold suite hands it a plan and a function
+    # that decides a key, so no suite keeps a level loop of its own
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "family_grid":
+                    found.add(fn.name)
+            elif isinstance(node, (ast.Subscript, ast.Attribute)):
+                if isinstance(node.value, ast.Name) and node.value.id == "table":
+                    found.add(fn.name)
+    assert found == {"_walk"}

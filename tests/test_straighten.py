@@ -10,7 +10,6 @@ from qmpaths.straighten import (
     _term_mul,
     count_terms_in_grade,
     grade,
-    leading_term,
     straighten_word,
     swap_adjacent,
     term_divides,
@@ -98,13 +97,13 @@ def test_matrix_lex_examples():
 
 def test_leading_term_examples(shape22):
     single = QmPoly.monomial(shape22, 4, E((1, 2)))
-    assert leading_term(single) == (E((1, 2)), ONE)
+    assert single.leading_term() == (E((1, 2)), ONE)
     det = minor_poly(shape22, 4, MinorSpec.of([1, 2], [1, 2]))
-    key, coeff = leading_term(det)
+    key, coeff = det.leading_term()
     assert key == E((1, 1), (2, 2))
     assert coeff == ONE
     with pytest.raises(ValueError):
-        leading_term(QmPoly.zero(shape22, 4))
+        QmPoly.zero(shape22, 4).leading_term()
 
 
 def test_leading_term_of_localized_elements_matches_the_comparator():

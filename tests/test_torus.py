@@ -47,6 +47,17 @@ def test_shape_validation():
         Shape(0, 2, relaxed=True)
     # relaxed flag does not affect identity
     assert Shape(2, 2, relaxed=True) == Shape(2, 2)
+    # only an int is a dimension: a float or str once built a shape (or
+    # failed on a raw comparison) and broke later in to_inline or a product
+    for make, cls in [
+        (lambda: Shape(2.0, 2), "float"),
+        (lambda: Shape("2", 2), "str"),
+        (lambda: Diagram.from_json({"m": 2.0, "n": 2, "black": []}), "float"),
+        (lambda: QmPoly.from_json({"m": 2, "n": 2.0, "t": 4, "terms": []}), "float"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            make()
+        assert str(info.value) == f"shape dimensions must be integers, not {cls}"
 
 
 @pytest.mark.parametrize("make, message", [

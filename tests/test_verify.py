@@ -296,23 +296,52 @@ def test_level_walk_skips_lookups_never_decisions(monkeypatch, cpus):
         tables.clear()
         assert run(3, 3).passed
         sizes[name] = sum(map(len, tables))
-    assert sizes == {"relations": 2580, "lindstrom": 1399, "ddalg": 1424}
+    # relations: one entry per ad branch and content quad of a submatrix
+    assert sizes == {"relations": 1509, "lindstrom": 1399, "ddalg": 1424}
     assert len(decided) == 1399
 
 
 @pytest.mark.parametrize("cpus", [1], indirect=True, ids=lambda n: f"{n}cpu")
+def test_table_values_are_a_few_shared_verdict_tuples(monkeypatch, cpus):
+    # a table holds one interned verdict tuple per distinct outcome, not a
+    # tuple per key: up to 3x3 every check holds, so the three suites' keys
+    # share three objects
+    tables = []
+
+    class Recorded(verify._Table):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(verify, "_Table", Recorded)
+    assert run_relations(3, 3).passed and run_lindstrom(3, 3).passed
+    assert run_ddalg(3, 3, samples=1).passed
+    values = [held for table in tables for held in table.values()]
+    assert len(values) == 1509 + 1399 + 1424
+    assert set(values) == {(True,) * 6, (True,), (True, True)}
+    assert len(set(map(id, values))) == 3
+
+
+@pytest.mark.parametrize("cpus", [1], indirect=True, ids=lambda n: f"{n}cpu")
 def test_ddalg_northwest_rule_is_written_once(monkeypatch, cpus):
-    # each level entry carries its northwest flag; the flag picks both the
-    # families the entry's key reads and the identity its check tests
+    # each level entry carries its northwest flag in its tag; the flag picks
+    # both the families the entry's key reads and the identity its check
+    # tests
     for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         shape = Shape(m, n)
-        for (t, in_b), entries in verify._ddalg_levels(shape).items():
+        for (t, in_b), (entries, new, size) in verify._ddalg_levels(shape).items():
+            assert new == entries and size == sum(len(e[3]) for e in entries)
             r, s = shape.threshold_coord(t)
-            for i, j, nw, pick in entries:
-                assert nw == (not in_b and i < r and j < s)
+            for slot, tag, pick, names, _witness in entries:
+                i, j = shape.coords()[slot]
+                nw = not in_b and i < r and j < s
+                assert tag == (t, i, j, in_b, nw)
                 cells = ((i, j), (i, s), (r, j), (r, s)) if nw else ((i, j),)
                 index = [(a - 1) * n + b - 1 for a, b in cells]
-                assert pick(range(m * n)) == (tuple(index) if nw else index[0])
+                assert pick(range(2 * m * n)) == (*index, *[c + m * n for c in index])
+                assert names[0] == ("generator-derivation-identity" if nw
+                                    else "generator-stability")
+                assert names[1:] == (() if in_b else ("sigma-derivation-compat",))
     tables = []
 
     class Recorded(verify._Table):
@@ -322,13 +351,11 @@ def test_ddalg_northwest_rule_is_written_once(monkeypatch, cpus):
 
     monkeypatch.setattr(verify, "_Table", Recorded)
     assert verify.run_ddalg(3, 3, samples=1).passed
-    checks = [(key, held) for table in tables for key, held in table.items()]
-    assert checks
-    for (_t, _i, _j, _in_b, hi, lo), held in checks:
-        identity = held[0][0]
-        assert identity == ("generator-derivation-identity" if isinstance(hi, tuple)
-                            else "generator-stability")
-        assert isinstance(lo, tuple) == isinstance(hi, tuple)
+    keys = [key for table in tables for key in table]
+    assert keys
+    for (_t, _i, _j, in_b, nw), *ids in keys:
+        assert len(ids) == (8 if nw else 2)
+        assert not (nw and in_b)
 
 
 def test_equal_content_ids_hold_equal_families():
